@@ -69,27 +69,22 @@ def _cmd_reconcile(args) -> int:
         if args.epsilon is not None:
             res = reconcile_relaxed(vec, agg, args.epsilon)
             out = res.y_epsilon
+            post = check_coherence(out, agg)
             diag = {
                 "method": f"relaxed:{args.epsilon}",
                 "loss_value": res.objective,
                 "iterations": res.iterations,
                 "wall_time_s": res.wall_time_s,
                 "max_violation": res.max_violation,
-            }
-            post = check_coherence(out, agg)
-        elif loss.kind == "l1":
-            res = reconcile_l1(vec, agg, box=box, weights=weights)
-            out = res.y_tilde
-            post = res.coherence
-            diag = {
-                "method": res.stats.method,
-                "loss_value": res.loss_value,
-                "iterations": res.stats.iterations,
-                "wall_time_s": res.stats.wall_time_s,
-                "duality_gap": res.stats.duality_gap,
+                "gradient_norm": res.gradient_norm,
             }
         else:
-            res = reconcile_general(vec, agg, loss, box=box)
+            if loss.kind == "l1":
+                res = reconcile_l1(vec, agg, box=box, weights=weights)
+                certificate = {"duality_gap": res.stats.duality_gap}
+            else:
+                res = reconcile_general(vec, agg, loss, box=box)
+                certificate = {"gradient_norm": res.stats.gradient_norm}
             out = res.y_tilde
             post = res.coherence
             diag = {
@@ -97,7 +92,7 @@ def _cmd_reconcile(args) -> int:
                 "loss_value": res.loss_value,
                 "iterations": res.stats.iterations,
                 "wall_time_s": res.stats.wall_time_s,
-                "gradient_norm": res.stats.gradient_norm,
+                **certificate,
             }
         diag["horizon"] = vec.horizon
         diag["pre_max_node_residual"] = pre.max_node_residual

@@ -296,9 +296,9 @@ class RemovalPlan:
 
     ``squared_change`` is the redistribution magnitude: the sum over
     replacement routes of the squared flow mass moved onto each.  ``bound``
-    is the square of the total rerouted mass; redistribution can never
-    exceed it when the rerouted values share a sign, with equality when a
-    single replacement route receives everything.
+    is (sum over affected paths of |value|)^2; by the triangle inequality
+    redistribution never exceeds it, whatever the signs, with equality when
+    a single replacement route receives values of one sign.
     """
 
     removed_edge: int
@@ -438,7 +438,7 @@ def remove_edge(
     out = agg.aggregate(np.array(new_values, dtype=float))
 
     squared_change = float(sum(m * m for m in mass.values()))
-    total = float(sum(path_vals[q] for q in affected))
+    total = float(sum(abs(path_vals[q]) for q in affected))
     plan = RemovalPlan(
         removed_edge=e_star,
         affected_paths=tuple(affected),

@@ -11,8 +11,8 @@ differs is the objective:
   weighted projection under explicit linear constraints, computed densely.
 * :func:`reconcile_l1` minimises the (weighted) sum of absolute
   adjustments as a linear program with one slack per component.
-* :func:`reconcile_general` handles smooth symmetric losses such as the
-  Huber loss by gradient descent.
+* :func:`reconcile_general` handles smooth symmetric losses: Huber by
+  semismooth Newton steps, custom and box-bounded ones by gradient descent.
 
 A root-mean-square objective shares its minimiser with the mean-square
 one, so no separate solver exists for it.
@@ -38,6 +38,7 @@ from .network import FlowAggregationMatrix
 from .numerics import (
     LpProblem,
     SparseSpd,
+    minimize_semismooth_newton,
     minimize_smooth_convex,
     solve_lp,
     solve_spd_with_info,
@@ -372,8 +373,11 @@ def reconcile_general(
     The objective sum_i w_i f(|(S b)_i - yhat_i|) is differentiable in b
     exactly when f'(0) = 0; the absolute loss fails that and is rejected
     with :class:`NonSmoothLoss` (use :func:`reconcile_l1`).  Plain l2 is
-    routed through the normal equations; everything else runs gradient
-    descent with Armijo backtracking, warm-started at the base path values.
+    routed through the normal equations.  Huber without a box runs damped
+    semismooth Newton steps on the generalised Hessian
+    S^T diag(w [|(S b - yhat)_i| <= delta]) S; custom losses, which carry no
+    second derivative, and box-bounded ones run gradient descent with Armijo
+    backtracking.  Both start from ``start``, else the base path values.
 
     Box constraints are honoured by projection, which is exact only where
     bounds touch path components (those coordinates are the optimisation
@@ -441,7 +445,11 @@ def reconcile_general(
     b0 = np.asarray(start, dtype=float) if start is not None else y[agg.index_map.path_slice].copy()
     if b0.shape != (agg.n_paths,):
         raise DimensionMismatch(f"start must hold {agg.n_paths} path values")
-    res = minimize_smooth_convex(objective, b0, tol=tol, max_iter=max_iter, project=project)
+    if loss.kind == "huber" and project is None:
+        hessian = lambda b: (st.multiply(w * (np.abs(s @ b - y) <= loss.delta)) @ s).tocsr()
+        res = minimize_semismooth_newton(objective, hessian, b0, tol=tol, max_iter=max_iter)
+    else:
+        res = minimize_smooth_convex(objective, b0, tol=tol, max_iter=max_iter, project=project)
     wall = time.perf_counter() - t0
     stats = SolverStats(
         method=f"general:{loss.kind}",

@@ -10,9 +10,10 @@ least-squares reconciliation.
 The solver optimises over path values only.  For a fixed path vector the
 best admissible edge value has a closed form (clamp the base forecast into
 the band), which turns the problem into an unconstrained, continuously
-differentiable, strongly convex minimisation driven by projected-gradient
-steps with backtracking, followed by an exact polish on the identified
-active band pattern.
+differentiable, strongly convex and piecewise-quadratic minimisation.
+Damped semismooth Newton steps solve it; the generalised Hessian is the
+normal-equation matrix of the edges outside their band, so a few steps
+end it once that band pattern settles.
 """
 
 from __future__ import annotations
@@ -23,13 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BadParameter, NoConvergence
+from .errors import BadParameter
 from .network import FlowAggregationMatrix
-from .numerics import SparseSpd, solve_spd_with_info
+from .numerics import minimize_semismooth_newton
 from .series import ForecastVector, _as_component_vector
-
-_ARMIJO_C = 1e-4
-_SHRINK = 0.5
 
 
 @dataclass
@@ -39,6 +37,9 @@ class RelaxedResult:
     ``objective`` is the squared distance to the base forecasts over all
     components.  ``violations`` holds |path sum - edge value| per edge,
     never above epsilon (up to float rounding at the band boundary).
+    ``gradient_norm``, the stationarity certificate, is the norm of the
+    objective's gradient in the path values at the answer.  ``iterations``
+    counts Newton steps, ``refine_rounds`` the band patterns they met.
     ``deviation_from_exact`` is filled when a reference exact solution was
     passed in.
     """
@@ -51,12 +52,9 @@ class RelaxedResult:
     max_violation: float
     iterations: int
     refine_rounds: int
+    gradient_norm: float
     wall_time_s: float
     deviation_from_exact: float | None = None
-
-
-def _soft_shrink(r: np.ndarray, eps: float) -> np.ndarray:
-    return np.sign(r) * np.maximum(np.abs(r) - eps, 0.0)
 
 
 def reconcile_relaxed(
@@ -64,9 +62,8 @@ def reconcile_relaxed(
     agg: FlowAggregationMatrix,
     epsilon: float,
     tol: float = 1e-10,
-    max_iter: int = 50_000,
+    max_iter: int = 200,
     exact=None,
-    refine: bool = True,
 ) -> RelaxedResult:
     """Minimise the squared adjustment subject to per-edge slack epsilon.
 
@@ -74,19 +71,15 @@ def reconcile_relaxed(
         yhat: base forecasts for every component.
         agg: aggregation operator of the network.
         epsilon: half-width of the admissible band per edge, >= 0.
-        tol: declare gradient-phase convergence when the objective improves
-            by less than tol * (1 + objective) between iterations.
-        max_iter: gradient-step budget.
+        tol: declare convergence once the gradient norm in the path values
+            is at most tol * (1 + objective).
+        max_iter: Newton-step budget.
         exact: optional reference vector (for example the exact
             least-squares reconciliation) to report the deviation from.
-        refine: polish the gradient-phase answer by solving the normal
-            equations restricted to the identified band pattern, repeated
-            until the pattern is self-consistent.  This sharpens the
-            answer to solver precision and never increases the objective.
 
     Raises:
         BadParameter: epsilon negative or not finite.
-        NoConvergence: iteration budget exhausted.
+        NoConvergence: Newton-step budget exhausted.
     """
     t0 = time.perf_counter()
     if not np.isfinite(epsilon) or epsilon < 0:
@@ -103,47 +96,26 @@ def reconcile_relaxed(
 
     def objective(p: np.ndarray) -> tuple[float, np.ndarray]:
         r_nodes = vp @ p - y_nodes
-        r_edges = _soft_shrink(ep @ p - y_edges, epsilon)
+        r_edges = ep @ p - y_edges
+        r_edges = np.sign(r_edges) * np.maximum(np.abs(r_edges) - epsilon, 0.0)
         r_paths = p - y_paths
         value = float(r_nodes @ r_nodes + r_edges @ r_edges + r_paths @ r_paths)
         grad = 2.0 * (vp_t @ r_nodes + ep_t @ r_edges + r_paths)
         return value, grad
 
-    p = y_paths.copy()
-    f, g = objective(p)
-    iterations = 0
-    converged = False
-    while iterations < max_iter:
-        step = 1.0
-        g_sq = float(g @ g)
-        if g_sq == 0.0:
-            converged = True
-            break
-        while True:
-            trial = p - step * g
-            f_trial, g_trial = objective(trial)
-            if f_trial <= f - _ARMIJO_C * step * g_sq:
-                break
-            step *= _SHRINK
-            if step < 1e-20:
-                f_trial, g_trial, trial = f, g, p
-                break
-        change = f - f_trial
-        p, f, g = trial, f_trial, g_trial
-        iterations += 1
-        if change < tol * (1.0 + abs(f)):
-            converged = True
-            break
-    if not converged:
-        raise NoConvergence(
-            f"relaxed reconciliation used all {max_iter} gradient steps "
-            f"(last objective {f:.6e})"
-        )
+    # Edges outside their band add a quadratic term; those inside add none.
+    fixed = 2.0 * (vp_t @ vp + sp.identity(agg.n_paths, format="csr"))
+    patterns: list[np.ndarray] = []
 
-    refine_rounds = 0
-    if refine:
-        p, refine_rounds = _polish(p, f, objective, vp, ep, y_nodes, y_edges, y_paths, epsilon)
-        f, g = objective(p)
+    def hessian(p: np.ndarray):
+        active = np.abs(ep @ p - y_edges) > epsilon
+        if not patterns or not np.array_equal(active, patterns[-1]):
+            patterns.append(active)
+        ep_active = ep[active]
+        return (fixed + 2.0 * (ep_active.T @ ep_active)).tocsr()
+
+    res = minimize_semismooth_newton(objective, hessian, y_paths, tol=tol, max_iter=max_iter)
+    p = res.x
 
     edge_sums = ep @ p
     e_vals = np.clip(y_edges, edge_sums - epsilon, edge_sums + epsilon)
@@ -161,50 +133,12 @@ def reconcile_relaxed(
         objective=obj_full,
         violations=violations,
         max_violation=float(violations.max()) if violations.size else 0.0,
-        iterations=iterations,
-        refine_rounds=refine_rounds,
+        iterations=res.iterations,
+        refine_rounds=len(patterns),
+        gradient_norm=res.gradient_norm,
         wall_time_s=time.perf_counter() - t0,
         deviation_from_exact=deviation,
     )
-
-
-def _polish(p, f, objective, vp, ep, y_nodes, y_edges, y_paths, epsilon, max_rounds: int = 30):
-    """Exact solve on the band pattern the gradient phase identified.
-
-    Edges outside their band contribute a pure quadratic pulled to the
-    nearer band boundary; edges inside contribute nothing.  On a fixed
-    pattern the optimum solves an SPD normal-equation system (the identity
-    block keeps eigenvalues at or above 1).  Iterate pattern, solve,
-    re-read pattern until stable, keeping the best objective seen.
-    """
-    n_paths = p.shape[0]
-    eye = sp.identity(n_paths, format="csr")
-    best_p, best_f = p, f
-    pattern = None
-    rounds = 0
-    for _ in range(max_rounds):
-        r = ep @ best_p - y_edges
-        out_pos = r > epsilon
-        out_neg = r < -epsilon
-        new_pattern = (out_pos.tobytes(), out_neg.tobytes())
-        if new_pattern == pattern:
-            break
-        pattern = new_pattern
-        rounds += 1
-        active = out_pos | out_neg
-        targets = np.where(out_pos, y_edges + epsilon, y_edges - epsilon)
-        ep_active = ep[active]
-        gram = (vp.T @ vp + ep_active.T @ ep_active + eye).tocsr()
-        rhs = vp.T @ y_nodes + y_paths
-        if active.any():
-            rhs = rhs + ep_active.T @ targets[active]
-        candidate, _ = solve_spd_with_info(SparseSpd(gram), np.asarray(rhs).ravel(), tol=1e-12)
-        f_candidate, _ = objective(candidate)
-        if f_candidate <= best_f + 1e-12 * (1.0 + abs(best_f)):
-            best_p, best_f = candidate, f_candidate
-        else:
-            break
-    return best_p, rounds
 
 
 __all__ = ["RelaxedResult", "reconcile_relaxed"]

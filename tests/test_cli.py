@@ -176,6 +176,7 @@ class TestReconcile:
         diag = read_json(out + ".diagnostics.json")["horizons"][0]
         assert diag["method"] == "relaxed:0.1"
         assert diag["max_violation"] <= 0.1 + 1e-10
+        assert diag["gradient_norm"] <= 1e-10 * (1.0 + diag["loss_value"])
 
 
 class TestReconcileErrors:

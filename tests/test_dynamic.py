@@ -286,6 +286,26 @@ class TestRemoveEdge:
         assert plan.bound == pytest.approx(16.0)
         assert y_new.data == pytest.approx([4.0, 0.0, 4.0, 0.0, 4.0, 4.0], abs=1e-12)
 
+    def test_bound_holds_for_mixed_sign_rerouted_values(self):
+        # Removing s->a reroutes s->a->t onto s->b->t and s->a->u onto
+        # s->b->u.  Values +3 and -3 cancel in the signed total, yet each
+        # route receives 3 in magnitude: the squared change is 18, the
+        # squared signed total 0 and the squared magnitude sum 36.
+        net = Network(
+            ["s", "a", "b", "t", "u"],
+            [("s", "a"), ("a", "t"), ("a", "u"), ("s", "b"), ("b", "t"), ("b", "u")],
+            [(0, 1), (0, 2), (3, 4), (3, 5)],
+        )
+        agg = FlowAggregationMatrix.from_network(net)
+        values = np.array([3.0, -3.0, 1.0, 1.0])
+        plan, _, y_new = remove_edge(net, agg.aggregate(values), ("s", "a"))
+        assert plan.affected_paths == (0, 1)
+        assert plan.squared_change == pytest.approx(18.0)
+        assert plan.squared_change > values[:2].sum() ** 2
+        assert plan.bound == pytest.approx(36.0)
+        assert plan.squared_change <= plan.bound
+        assert y_new.data[-2:] == pytest.approx([4.0, -2.0])
+
     def test_zero_flow_removal_changes_nothing_downstream(self, parallel_net, parallel_agg):
         y = parallel_agg.aggregate(np.array([0.0, 5.0]))
         plan, updated, y_new = remove_edge(parallel_net, y, ("a", "t"))

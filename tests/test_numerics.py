@@ -1,4 +1,4 @@
-"""Numerical kernels: sparse SPD solve, LP solve, smooth descent."""
+"""Numerical kernels: sparse SPD solve, LP solve, semismooth Newton, smooth descent."""
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from flowrec.errors import (
 from flowrec.numerics import (
     LpProblem,
     SparseSpd,
+    minimize_semismooth_newton,
     minimize_smooth_convex,
     solve_lp,
     solve_spd,
@@ -317,3 +318,47 @@ class TestMinimizeSmoothConvex:
 
         with pytest.raises(NoConvergence):
             minimize_smooth_convex(fun, np.zeros(1), tol=1e-12, max_iter=3)
+
+
+class TestMinimizeSemismoothNewton:
+    def test_quadratic_converges_in_few_steps(self):
+        a = sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
+        c = np.array([1.0, -2.0])
+
+        def fun(x):
+            return float(0.5 * x @ (a @ x) - c @ x), a @ x - c
+
+        res = minimize_semismooth_newton(fun, lambda x: a, np.zeros(2), tol=1e-12)
+        assert res.converged
+        assert res.x == pytest.approx(np.linalg.solve(a.toarray(), c), abs=1e-10)
+        assert res.iterations <= 6
+
+    def test_piecewise_quadratic_from_the_linear_zone(self):
+        # Huber pulls toward 0 and 10 plus a small quadratic toward 3.  The
+        # Huber terms are linear far from their centres, so at the start
+        # x = 40 only the quadratic's curvature 0.1 is left.
+        def fun(x):
+            v = float(x[0])
+            slope = np.clip(v, -1.0, 1.0) + np.clip(v - 10.0, -1.0, 1.0)
+            huber = sum(0.5 * u * u if abs(u) <= 1 else abs(u) - 0.5 for u in (v, v - 10.0))
+            return huber + 0.05 * (v - 3.0) ** 2, np.array([slope + 0.1 * (v - 3.0)])
+
+        def hessian(x):
+            v = float(x[0])
+            curvature = float(abs(v) <= 1.0) + float(abs(v - 10.0) <= 1.0)
+            return sp.csr_matrix(np.array([[curvature + 0.1]]))
+
+        assert hessian(np.array([40.0]))[0, 0] == pytest.approx(0.1)
+        res = minimize_semismooth_newton(fun, hessian, np.array([40.0]), tol=1e-12)
+        assert res.x[0] == pytest.approx(3.0, abs=1e-10)
+        assert res.gradient_norm <= 1e-12 * (1.0 + res.value)
+
+    def test_budget_exhaustion_raises(self):
+        a = sp.identity(3, format="csr")
+
+        def fun(x):
+            d = x - 100.0
+            return float(d @ d), 2.0 * d
+
+        with pytest.raises(NoConvergence):
+            minimize_semismooth_newton(fun, lambda x: 2.0 * a, np.zeros(3), tol=1e-14, max_iter=1)

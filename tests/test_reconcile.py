@@ -337,6 +337,24 @@ class TestGeneralLoss:
         result = reconcile_general(inst.y_base.data, inst.agg, LossSpec(kind="huber", delta=2.0))
         assert result.stats.gradient_norm <= 1e-6 * (1.0 + result.loss_value)
 
+    def test_huber_from_a_start_with_a_singular_quadratic_zone(self):
+        # Starting 50 above every base path value puts every residual beyond
+        # delta, so the quadratic-zone Hessian S^T diag(w [|r| <= delta]) S
+        # is zero at the start; the run must still meet criterion 3's
+        # certificate and land where the base-value start does.
+        inst = random_instance(nodes=12, seed=63)
+        loss = LossSpec(kind="huber", delta=1.0)
+        imap = inst.agg.index_map
+        start = inst.y_base.data[imap.path_slice] + 50.0
+        assert np.all(np.abs(inst.agg.matrix @ start - inst.y_base.data) > loss.delta)
+        far = reconcile_general(inst.y_base.data, inst.agg, loss, start=start)
+        near = reconcile_general(inst.y_base.data, inst.agg, loss)
+        assert far.stats.gradient_norm <= 1e-8 * (1.0 + far.loss_value)
+        r = far.y_tilde.data - inst.y_base.data
+        grad = inst.agg.matrix.T @ np.clip(r, -loss.delta, loss.delta)
+        assert float(np.linalg.norm(grad)) <= 1e-8 * (1.0 + far.loss_value)
+        assert far.loss_value == pytest.approx(near.loss_value, rel=1e-9)
+
     def test_two_starts_reach_the_same_optimum(self, parallel_agg):
         yhat = np.array([10.0, 2.0, 6.0, 7.0, 3.0, 1.0, 5.0, 6.0, 2.0, 4.0])
         loss = LossSpec(kind="huber", delta=1.5)
