@@ -3,10 +3,15 @@
 Four routines live here and nothing else in the package does heavy
 numerics itself:
 
-* :func:`solve_spd`, a conjugate-gradient solve for sparse symmetric
-  positive definite systems.  The normal-equation systems built from the
-  aggregation structure have all eigenvalues at or above 1 (the identity
-  block guarantees it), so plain CG needs no preconditioning.
+* :func:`solve_spd_with_info`, a conjugate-gradient solve for symmetric
+  positive definite systems that sees the system only through a matrix-
+  vector product.  The reconcilers hand it a closure over the aggregation
+  blocks, so the normal-equation matrix and the generalised Hessians are
+  applied, never formed.  Their eigenvalues sit at or above the weight of
+  the identity block, so plain CG needs no preconditioning.
+  :class:`SparseSpd` wraps an explicit matrix handed in from outside and
+  checks its symmetry; operators built here are symmetric by construction
+  and skip that check.
 * :func:`solve_lp`, a sparse linear program solved by HiGHS's dual
   revised simplex (``scipy.optimize.linprog(method="highs")``).  The
   strong-duality gap and dual infeasibility are recomputed here from the
@@ -42,12 +47,14 @@ _BACKTRACK_SHRINK = 0.5
 
 
 class SparseSpd:
-    """A sparse matrix asserted symmetric and expected positive definite.
+    """An explicit sparse matrix asserted symmetric and expected positive definite.
 
-    Symmetry is checked on construction (1e-12 relative).  Positive
-    definiteness is not factorised up front; the CG solve raises
-    :class:`NotPositiveDefinite` the moment it meets a direction of
-    nonpositive curvature.
+    This is the checked form for matrices handed in from outside; the
+    operators the package builds are symmetric by construction and reach
+    :func:`solve_spd_with_info` as plain callables.  Symmetry is checked on
+    construction (1e-12 relative).  Positive definiteness is not factorised
+    up front; the CG solve raises :class:`NotPositiveDefinite` the moment
+    it meets a direction of nonpositive curvature.
     """
 
     def __init__(self, matrix):
@@ -67,10 +74,6 @@ class SparseSpd:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def nnz(self) -> int:
-        return self.matrix.nnz
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
 
@@ -79,43 +82,45 @@ class SparseSpd:
 class SpdSolveInfo:
     iterations: int
     residual_norm: float
-    aux_bytes: int
 
 
-def solve_spd(matrix, rhs, tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:
-    """Solve M x = rhs for sparse SPD M to a relative residual tolerance.
+def solve_spd_with_info(
+    operator, rhs, tol: float = 1e-10, max_iter: int | None = None
+) -> tuple[np.ndarray, SpdSolveInfo]:
+    """Solve M x = rhs for symmetric positive definite M by conjugate gradient.
 
     Args:
-        matrix: :class:`SparseSpd` or anything convertible to one.
+        operator: a callable v -> M v, trusted to be symmetric, or an
+            explicit matrix (a :class:`SparseSpd`, or anything convertible
+            to one, which checks its symmetry).
         rhs: right-hand side vector.
         tol: accept x once ||M x - rhs|| <= tol * ||rhs||.  The final
             residual is recomputed explicitly, not trusted from the
             recurrence.
         max_iter: iteration budget, default 10 * dimension.
 
+    Returns:
+        The solution and its :class:`SpdSolveInfo` (iterations, residual).
+
     Raises:
-        NotPositiveDefinite: nonpositive curvature encountered.
+        NotPositiveDefinite: nonpositive curvature encountered, or an
+            explicit matrix that is not symmetric.
         NoConvergence: budget exhausted before the tolerance was met.
     """
-    x, _ = solve_spd_with_info(matrix, rhs, tol=tol, max_iter=max_iter)
-    return x
-
-
-def solve_spd_with_info(
-    matrix, rhs, tol: float = 1e-10, max_iter: int | None = None
-) -> tuple[np.ndarray, SpdSolveInfo]:
-    """Same as :func:`solve_spd` but also returns iteration statistics."""
-    m = matrix if isinstance(matrix, SparseSpd) else SparseSpd(matrix)
     b = np.asarray(rhs, dtype=float)
-    if b.shape != (m.dim,):
-        raise DimensionMismatch(f"rhs shape {b.shape} does not match dimension {m.dim}")
+    if callable(operator):
+        matvec, dim = operator, b.size
+    else:
+        m = operator if isinstance(operator, SparseSpd) else SparseSpd(operator)
+        matvec, dim = m.matvec, m.dim
+    if b.shape != (dim,):
+        raise DimensionMismatch(f"rhs shape {b.shape} does not match dimension {dim}")
     if max_iter is None:
-        max_iter = max(1, 10 * m.dim)
-    aux_bytes = 4 * 8 * m.dim
+        max_iter = max(1, 10 * dim)
 
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return np.zeros_like(b), SpdSolveInfo(0, 0.0, aux_bytes)
+        return np.zeros_like(b), SpdSolveInfo(0, 0.0)
     target = tol * b_norm
 
     x = np.zeros_like(b)
@@ -127,10 +132,10 @@ def solve_spd_with_info(
 
     while True:
         if np.sqrt(rs) <= target:
-            true_r = b - m.matvec(x)
+            true_r = b - matvec(x)
             true_norm = float(np.linalg.norm(true_r))
             if true_norm <= target:
-                return x, SpdSolveInfo(iterations, true_norm, aux_bytes)
+                return x, SpdSolveInfo(iterations, true_norm)
             if verifications == 0:
                 raise NoConvergence(
                     f"conjugate gradient stalled at residual {true_norm:.3e} "
@@ -145,7 +150,7 @@ def solve_spd_with_info(
                 f"conjugate gradient exceeded {max_iter} iterations "
                 f"(residual {np.sqrt(rs):.3e}, target {target:.3e})"
             )
-        ap = m.matvec(p)
+        ap = matvec(p)
         p_ap = float(p @ ap)
         if p_ap <= 0.0:
             raise NotPositiveDefinite(
@@ -405,8 +410,9 @@ def minimize_semismooth_newton(
 
     Args:
         fun: callable x -> (value, gradient).
-        hessian: callable x -> sparse symmetric positive semidefinite
-            generalised Hessian at x.
+        hessian: callable x -> symmetric positive semidefinite generalised
+            Hessian at x, either as a callable v -> H v (trusted symmetric)
+            or as an explicit sparse matrix (symmetry-checked).
         x0: starting point.
         tol: stop once ||gradient|| <= tol * (1 + |value|).
         max_iter: Newton-step budget.
@@ -428,9 +434,10 @@ def minimize_semismooth_newton(
                 f"{g_norm:.3e} above target {target:.3e}"
             )
         h = hessian(x)
-        shifted = SparseSpd(h + min(g_norm, 1.0) * sp.identity(h.shape[0], format="csr"))
+        apply_h = h if callable(h) else SparseSpd(h).matvec
+        mu = min(g_norm, 1.0)
         forcing = min(0.1, float(np.sqrt(g_norm / (1.0 + abs(f)))))
-        d, _ = solve_spd_with_info(shifted, -g, tol=forcing)
+        d, _ = solve_spd_with_info(lambda v: apply_h(v) + mu * v, -g, tol=forcing)
         slope = float(g @ d)
         step = 1.0
         for _ in range(60):

@@ -5,8 +5,8 @@ path values ``b``, which makes the output coherent by construction.  What
 differs is the objective:
 
 * :func:`reconcile_l2` minimises the sum of squared adjustments via the
-  normal equations over path values, solved with sparse conjugate
-  gradient.
+  normal equations over path values, solved by conjugate gradient that
+  applies S^T S through S and never forms it.
 * :func:`reconcile_weighted` is the closed-form solution of the generic
   weighted projection under explicit linear constraints, computed densely.
 * :func:`reconcile_l1` minimises the (weighted) sum of absolute
@@ -21,7 +21,7 @@ one, so no separate solver exists for it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -37,7 +37,6 @@ from .errors import (
 from .network import FlowAggregationMatrix
 from .numerics import (
     LpProblem,
-    SparseSpd,
     minimize_semismooth_newton,
     minimize_smooth_convex,
     solve_lp,
@@ -118,7 +117,6 @@ class SolverStats:
     method: str
     iterations: int
     wall_time_s: float
-    aux_bytes: int
     duality_gap: float | None = None
     gradient_norm: float | None = None
 
@@ -183,23 +181,35 @@ def _package(
     )
 
 
-def _weighted_normal_solve(
-    yhat: np.ndarray, agg: FlowAggregationMatrix, w: np.ndarray, tol: float
-):
+def _l2_result(
+    yhat, y: np.ndarray, agg: FlowAggregationMatrix, loss: LossSpec, method: str,
+    tol: float, t0: float,
+) -> ReconciliationResult:
+    """Solve the weighted normal equations S^T W S b = S^T W y and package b.
+
+    CG applies S^T W S as v -> S^T (w * (S v)), so the Gram matrix, several
+    times denser than S, is never formed.
+    """
     s = agg.matrix
-    sw = s.T.multiply(w)  # S^T D
-    gram = SparseSpd((sw @ s).tocsr())
-    rhs = sw @ yhat
-    return solve_spd_with_info(gram, rhs, tol=tol), gram.nnz
+    st = s.T.tocsr()
+    w = loss.resolved_weights(agg.n)
+    b, info = solve_spd_with_info(lambda v: st @ (w * (s @ v)), st @ (w * y), tol=tol)
+    stats = SolverStats(
+        method=method,
+        iterations=info.iterations,
+        wall_time_s=time.perf_counter() - t0,
+        gradient_norm=2.0 * info.residual_norm,
+    )
+    return _package(y, b, agg, loss, stats, like=yhat)
 
 
 def reconcile_l2(yhat, agg: FlowAggregationMatrix, tol: float = 1e-12) -> ReconciliationResult:
     """Least-squares reconciliation: the orthogonal projection onto the
     coherent subspace, computed over path values.
 
-    The normal-equation matrix is the path Gram matrix plus identity, so it
-    is positive definite with eigenvalues >= 1 and conjugate gradient
-    converges unconditionally.
+    The normal-equation matrix S^T S is the path Gram matrix plus identity,
+    so it is positive definite with eigenvalues >= 1 and conjugate gradient
+    converges unconditionally.  It is applied through S, never formed.
 
     Args:
         yhat: base forecasts, one per component.
@@ -208,17 +218,7 @@ def reconcile_l2(yhat, agg: FlowAggregationMatrix, tol: float = 1e-12) -> Reconc
     """
     t0 = time.perf_counter()
     y = _as_component_vector(yhat, agg.n)
-    loss = LossSpec("l2")
-    (b, info), gram_nnz = _weighted_normal_solve(y, agg, np.ones(agg.n), tol)
-    wall = time.perf_counter() - t0
-    stats = SolverStats(
-        method="l2",
-        iterations=info.iterations,
-        wall_time_s=wall,
-        aux_bytes=info.aux_bytes + 16 * gram_nnz,
-        gradient_norm=2.0 * info.residual_norm,
-    )
-    return _package(y, b, agg, loss, stats, like=yhat)
+    return _l2_result(yhat, y, agg, LossSpec("l2"), "l2", tol, t0)
 
 
 def coherence_constraints(agg: FlowAggregationMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -344,7 +344,6 @@ def reconcile_l1(
         method="l1",
         iterations=sol.iterations,
         wall_time_s=wall,
-        aux_bytes=a.data.nbytes + a.indices.nbytes + a.indptr.nbytes,
         duality_gap=sol.duality_gap,
     )
     return _package(y, b, agg, loss, stats, like=yhat)
@@ -375,9 +374,10 @@ def reconcile_general(
     with :class:`NonSmoothLoss` (use :func:`reconcile_l1`).  Plain l2 is
     routed through the normal equations.  Huber without a box runs damped
     semismooth Newton steps on the generalised Hessian
-    S^T diag(w [|(S b - yhat)_i| <= delta]) S; custom losses, which carry no
-    second derivative, and box-bounded ones run gradient descent with Armijo
-    backtracking.  Both start from ``start``, else the base path values.
+    S^T diag(w [|(S b - yhat)_i| <= delta]) S, applied through S and never
+    formed; custom losses, which carry no second derivative, and box-bounded
+    ones run gradient descent with Armijo backtracking.  Both start from
+    ``start``, else the base path values.
 
     Box constraints are honoured by projection, which is exact only where
     bounds touch path components (those coordinates are the optimisation
@@ -420,16 +420,7 @@ def reconcile_general(
         project = lambda b: np.clip(b, lo, hi)
 
     if loss.kind == "l2" and box is None:
-        (b, info), gram_nnz = _weighted_normal_solve(y, agg, w, tol=min(tol, 1e-10))
-        wall = time.perf_counter() - t0
-        stats = SolverStats(
-            method="general:l2",
-            iterations=info.iterations,
-            wall_time_s=wall,
-            aux_bytes=info.aux_bytes + 16 * gram_nnz,
-            gradient_norm=2.0 * info.residual_norm,
-        )
-        return _package(y, b, agg, loss, stats, like=yhat)
+        return _l2_result(yhat, y, agg, loss, "general:l2", min(tol, 1e-10), t0)
 
     f, f_prime = _smooth_slope(loss)
     s = agg.matrix
@@ -446,7 +437,10 @@ def reconcile_general(
     if b0.shape != (agg.n_paths,):
         raise DimensionMismatch(f"start must hold {agg.n_paths} path values")
     if loss.kind == "huber" and project is None:
-        hessian = lambda b: (st.multiply(w * (np.abs(s @ b - y) <= loss.delta)) @ s).tocsr()
+        def hessian(b: np.ndarray):
+            wm = w * (np.abs(s @ b - y) <= loss.delta)
+            return lambda v: st @ (wm * (s @ v))
+
         res = minimize_semismooth_newton(objective, hessian, b0, tol=tol, max_iter=max_iter)
     else:
         res = minimize_smooth_convex(objective, b0, tol=tol, max_iter=max_iter, project=project)
@@ -455,7 +449,6 @@ def reconcile_general(
         method=f"general:{loss.kind}",
         iterations=res.iterations,
         wall_time_s=wall,
-        aux_bytes=8 * 4 * agg.n_paths + 8 * 2 * n,
         gradient_norm=res.gradient_norm,
     )
     return _package(y, res.x, agg, loss, stats, like=yhat)

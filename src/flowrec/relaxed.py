@@ -12,8 +12,9 @@ best admissible edge value has a closed form (clamp the base forecast into
 the band), which turns the problem into an unconstrained, continuously
 differentiable, strongly convex and piecewise-quadratic minimisation.
 Damped semismooth Newton steps solve it; the generalised Hessian is the
-normal-equation matrix of the edges outside their band, so a few steps
-end it once that band pattern settles.
+normal-equation operator of the edges outside their band,
+2 (VP^T VP + EP_a^T EP_a + I), applied through VP and EP without being
+formed, so a few steps end it once that band pattern settles.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import BadParameter
 from .network import FlowAggregationMatrix
@@ -104,15 +104,13 @@ def reconcile_relaxed(
         return value, grad
 
     # Edges outside their band add a quadratic term; those inside add none.
-    fixed = 2.0 * (vp_t @ vp + sp.identity(agg.n_paths, format="csr"))
     patterns: list[np.ndarray] = []
 
     def hessian(p: np.ndarray):
         active = np.abs(ep @ p - y_edges) > epsilon
         if not patterns or not np.array_equal(active, patterns[-1]):
             patterns.append(active)
-        ep_active = ep[active]
-        return (fixed + 2.0 * (ep_active.T @ ep_active)).tocsr()
+        return lambda v: 2.0 * (vp_t @ (vp @ v) + ep_t @ (active * (ep @ v)) + v)
 
     res = minimize_semismooth_newton(objective, hessian, y_paths, tol=tol, max_iter=max_iter)
     p = res.x

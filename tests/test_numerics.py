@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from flowrec.errors import (
     BadParameter,
     CyclingDetected,
+    DimensionMismatch,
     Infeasible,
     NoConvergence,
     NotPositiveDefinite,
@@ -18,7 +19,6 @@ from flowrec.numerics import (
     minimize_semismooth_newton,
     minimize_smooth_convex,
     solve_lp,
-    solve_spd,
     solve_spd_with_info,
 )
 
@@ -30,12 +30,12 @@ def spd_from(matrix):
 class TestSolveSpd:
     def test_identity_returns_rhs(self):
         rhs = np.array([3.0, -1.0, 2.0])
-        x = solve_spd(spd_from(np.eye(3)), rhs)
+        x = solve_spd_with_info(spd_from(np.eye(3)), rhs)[0]
         assert np.allclose(x, rhs, atol=1e-12)
 
     def test_diagonal_divides(self):
         d = np.array([2.0, 5.0, 0.5])
-        x = solve_spd(spd_from(np.diag(d)), np.array([4.0, 10.0, 1.0]))
+        x = solve_spd_with_info(spd_from(np.diag(d)), np.array([4.0, 10.0, 1.0]))[0]
         assert np.allclose(x, [2.0, 2.0, 2.0], atol=1e-12)
 
     def test_matches_dense_elimination_on_random_spd(self):
@@ -51,20 +51,37 @@ class TestSolveSpd:
             assert np.linalg.norm(m @ x_cg - rhs) <= 1e-10 * np.linalg.norm(rhs)
             assert info.iterations >= 1
 
+    def test_callable_operator_matches_the_matrix(self):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(8, 8))
+        m = a @ a.T + np.eye(8)
+        rhs = rng.normal(size=8)
+        x_op, info_op = solve_spd_with_info(lambda v: m @ v, rhs, tol=1e-12)
+        x_mat, info_mat = solve_spd_with_info(spd_from(m), rhs, tol=1e-12)
+        assert np.allclose(x_op, x_mat, atol=1e-10)
+        assert np.linalg.norm(m @ x_op - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        assert info_op.iterations == info_mat.iterations
+
+    def test_callable_operator_keeps_the_curvature_and_shape_checks(self):
+        with pytest.raises(NotPositiveDefinite):
+            solve_spd_with_info(lambda v: np.array([1.0, -1.0]) * v, np.ones(2))
+        with pytest.raises(DimensionMismatch):
+            solve_spd_with_info(lambda v: v, np.ones((2, 1)))
+
     def test_rejects_asymmetric(self):
         with pytest.raises(NotPositiveDefinite):
             spd_from([[1.0, 2.0], [0.0, 1.0]])
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
-            solve_spd(spd_from(np.diag([1.0, -1.0])), np.ones(2))
+            solve_spd_with_info(spd_from(np.diag([1.0, -1.0])), np.ones(2))
 
     def test_iteration_budget_enforced(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(30, 30))
         m = a @ a.T + np.eye(30)
         with pytest.raises(NoConvergence):
-            solve_spd(spd_from(m), rng.normal(size=30), tol=1e-14, max_iter=1)
+            solve_spd_with_info(spd_from(m), rng.normal(size=30), tol=1e-14, max_iter=1)
 
 
 class TestSolveLp:
@@ -321,14 +338,16 @@ class TestMinimizeSmoothConvex:
 
 
 class TestMinimizeSemismoothNewton:
-    def test_quadratic_converges_in_few_steps(self):
+    @pytest.mark.parametrize("form", ["matrix", "closure"])
+    def test_quadratic_converges_in_few_steps(self, form):
         a = sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
         c = np.array([1.0, -2.0])
 
         def fun(x):
             return float(0.5 * x @ (a @ x) - c @ x), a @ x - c
 
-        res = minimize_semismooth_newton(fun, lambda x: a, np.zeros(2), tol=1e-12)
+        h = a if form == "matrix" else (lambda v: a @ v)
+        res = minimize_semismooth_newton(fun, lambda x: h, np.zeros(2), tol=1e-12)
         assert res.converged
         assert res.x == pytest.approx(np.linalg.solve(a.toarray(), c), abs=1e-10)
         assert res.iterations <= 6

@@ -20,8 +20,10 @@ from flowrec import (
     reconcile_general,
     reconcile_l1,
     reconcile_l2,
+    reconcile_relaxed,
     reconcile_weighted,
 )
+from flowrec.numerics import SparseSpd
 
 from conftest import coherent_distribution_vector, random_instance
 
@@ -281,6 +283,20 @@ class TestGeneralLoss:
         general = reconcile_general(inst.y_base.data, inst.agg, LossSpec(kind="l2"))
         assert general.y_tilde.data == pytest.approx(direct.y_tilde.data, rel=1e-8, abs=1e-8)
 
+    def test_weighted_l2_matches_the_dense_weighted_projection(self):
+        # The CLI's --weights route.  Route one: CG on S^T W S applied
+        # through S.  Route two: the dense closed-form projection.
+        rng = np.random.default_rng(64)
+        for seed in range(20):
+            inst = random_instance(nodes=10, seed=seed + 640)
+            w = rng.uniform(0.2, 5.0, size=inst.agg.n)
+            general = reconcile_general(inst.y_base.data, inst.agg, LossSpec("l2", weights=w))
+            a, c = coherence_constraints(inst.agg)
+            via_kkt = reconcile_weighted(inst.y_base.data, a, c, w)
+            assert general.stats.method == "general:l2"
+            scale = 1.0 + np.linalg.norm(via_kkt, np.inf)
+            assert np.max(np.abs(general.y_tilde.data - via_kkt)) <= 1e-8 * scale
+
     def test_huber_outlier_lands_between_mean_and_median(self, chain_agg):
         y = chain_outlier_vector(chain_agg)
         result = reconcile_general(y, chain_agg, LossSpec(kind="huber", delta=1.0))
@@ -416,3 +432,28 @@ class TestConservation:
         for name in net.nodes:
             if net.roles.get(name) == "intermediate":
                 assert abs(imbalance[net.node_index[name]]) <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# Matrix-free solves: no solver assembles a matrix for CG.
+# ---------------------------------------------------------------------------
+
+
+class TestMatrixFree:
+    def test_solvers_never_build_a_checked_matrix(self, monkeypatch):
+        # SparseSpd is the checked wrapper for explicit matrices from
+        # outside; the normal-equation operator and the Huber and relaxed
+        # generalised Hessians must reach CG as products through S instead.
+        def refuse(self, matrix):
+            raise AssertionError("a solver assembled an explicit matrix for CG")
+
+        monkeypatch.setattr(SparseSpd, "__init__", refuse)
+        inst = random_instance(nodes=12, seed=66)
+        y = inst.y_base.data
+        w = np.linspace(0.5, 2.0, inst.agg.n)
+        assert reconcile_l2(y, inst.agg).stats.iterations >= 1
+        assert reconcile_general(y, inst.agg, LossSpec("l2", weights=w)).stats.iterations >= 1
+        huber = reconcile_general(y, inst.agg, LossSpec("huber", delta=1.0))
+        assert huber.stats.gradient_norm <= 1e-8 * (1.0 + huber.loss_value)
+        relaxed = reconcile_relaxed(y, inst.agg, 0.01)
+        assert relaxed.gradient_norm <= 1e-10 * (1.0 + relaxed.objective)
