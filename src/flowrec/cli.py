@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import fileio
 from .benchmark import DEFAULT_METHODS, GeneratorConfig, run_benchmark
 from .dynamic import UpdateLedger, add_edge_update, check_data_update, remove_edge
@@ -62,12 +64,21 @@ def _cmd_reconcile(args) -> int:
         if args.epsilon < 0:
             raise BadParameter(f"--epsilon must be >= 0, got {args.epsilon}")
 
+    if args.epsilon is not None:
+        solved = [reconcile_relaxed(vec, agg, args.epsilon) for vec in vectors]
+    elif loss.kind == "l1":
+        solved = [reconcile_l1(vec, agg, box=box, weights=weights) for vec in vectors]
+    elif loss.kind == "l2" and box is None:
+        # Every horizon at once: one multi-column CG over the (n, H) block.
+        solved = reconcile_general(np.column_stack([v.data for v in vectors]), agg, loss)
+    else:
+        solved = [reconcile_general(vec, agg, loss, box=box) for vec in vectors]
+
     outputs = []
     horizon_diags = []
-    for vec in vectors:
+    for vec, res in zip(vectors, solved):
         pre = check_coherence(vec, agg)
         if args.epsilon is not None:
-            res = reconcile_relaxed(vec, agg, args.epsilon)
             out = res.y_epsilon
             post = check_coherence(out, agg)
             diag = {
@@ -80,10 +91,8 @@ def _cmd_reconcile(args) -> int:
             }
         else:
             if loss.kind == "l1":
-                res = reconcile_l1(vec, agg, box=box, weights=weights)
                 certificate = {"duality_gap": res.stats.duality_gap}
             else:
-                res = reconcile_general(vec, agg, loss, box=box)
                 certificate = {"gradient_norm": res.stats.gradient_norm}
             out = res.y_tilde
             post = res.coherence

@@ -3,7 +3,10 @@
 Structure goes to JSON (sorted keys, two-space indent, trailing newline),
 numeric panels go to CSV.  Floats are serialized with ``repr``, the
 shortest representation that round-trips exactly, so write-read-write is
-byte-stable.
+byte-stable.  A forecast CSV holds an (n, H) panel, one row per component
+and one value column per horizon; it is parsed and formatted a whole
+panel at a time, and a file that fails the bulk parse is walked row by row
+only to name the first offending line.
 
 Component ids in CSV files are: the node name for nodes, ``tail->head``
 for edges, and ``P{i}`` for paths (i is the path index).
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+from typing import NoReturn
 
 import numpy as np
 
@@ -116,11 +120,20 @@ def _id_table(net: Network) -> dict[tuple[str, str], int]:
 # --- forecast CSV -------------------------------------------------------------------
 
 
+def _csv_field(text: str) -> str:
+    """Quote one field the way ``csv.writer`` does by default (QUOTE_MINIMAL)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_forecast(path: str, vectors, net: Network) -> None:
     """Write one or more horizons of component values as CSV.
 
     ``vectors`` may be a single vector (array or ForecastVector) or a list
-    of them; multiple horizons become columns value1..valueH.
+    of them; multiple horizons become columns value1..valueH.  Each line is
+    the csv-quoted ``kind,id`` followed by the ``repr`` of each value, built
+    from the whole (n, H) panel at once.
     """
     if isinstance(vectors, (list, tuple)):
         cols = [np.asarray(getattr(v, "data", v), dtype=float) for v in vectors]
@@ -134,20 +147,20 @@ def write_forecast(path: str, vectors, net: Network) -> None:
                 f"forecast column has {c.shape[0] if c.ndim == 1 else '?'} values, "
                 f"network has {n} components"
             )
-    header = ["kind", "id", "value"] if len(cols) == 1 else [
-        "kind",
-        "id",
-        *[f"value{h}" for h in range(1, len(cols) + 1)],
-    ]
+    header = "kind,id,value" if len(cols) == 1 else "kind,id," + ",".join(
+        f"value{h}" for h in range(1, len(cols) + 1)
+    )
     kinds = (
         ["node"] * len(net.nodes) + ["edge"] * len(net.edges) + ["path"] * len(net.paths)
     )
+    panel = np.column_stack(cols).tolist()
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for i in range(n):
-                writer.writerow([kinds[i], ids[i], *[repr(float(c[i])) for c in cols]])
+            fh.write(header + "\n")
+            fh.writelines(
+                f"{kind},{_csv_field(ident)},{','.join(map(repr, row))}\n"
+                for kind, ident, row in zip(kinds, ids, panel)
+            )
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
@@ -164,7 +177,10 @@ def read_forecast(path: str, net: Network) -> list[ForecastVector]:
     """Read a forecast CSV back; one ForecastVector per horizon column.
 
     The file must contain exactly one row per component of ``net``.
-    Errors carry the 1-based row number of the offending line.
+    Errors carry the 1-based row number of the offending line.  The panel
+    is parsed in bulk (one id lookup per row, one float conversion and one
+    finiteness test of the whole value block); only when that fails is the
+    file walked row by row to name the first offending line.
 
     Raises:
         IoFailure: bad header, unknown/duplicate/missing components, or
@@ -184,9 +200,31 @@ def read_forecast(path: str, net: Network) -> list[ForecastVector]:
         )
     table = _id_table(net)
     n = net.index_map.n
-    values = np.full((horizons, n), np.nan)
-    seen = np.zeros(n, dtype=bool)
-    for lineno, row in enumerate(rows[1:], start=2):
+    body = rows[1:]
+    try:
+        index = np.array([table[(row[0], row[1])] for row in body], dtype=np.intp)
+        block = np.array([row[2:] for row in body], dtype=float).reshape(len(body), horizons)
+    except (KeyError, IndexError, ValueError):
+        _raise_row_error(path, body, horizons, net, table)
+    if (
+        block.shape != (n, horizons)
+        or np.bincount(index, minlength=n).max(initial=0) > 1
+        or not np.isfinite(block).all()
+    ):
+        _raise_row_error(path, body, horizons, net, table)
+    values = np.empty((horizons, n))
+    values[:, index] = block.T
+    return [ForecastVector(values[h], horizon=h + 1) for h in range(horizons)]
+
+
+def _raise_row_error(path: str, body, horizons: int, net: Network, table) -> NoReturn:
+    """Walk the rows in file order and raise for the first bad one.
+
+    Reached only after the bulk parse of :func:`read_forecast` failed, so
+    some row, or a component missing from every row, is at fault.
+    """
+    seen = np.zeros(net.index_map.n, dtype=bool)
+    for lineno, row in enumerate(body, start=2):
         if len(row) != 2 + horizons:
             raise IoFailure(
                 f"{path} row {lineno}: expected {2 + horizons} fields, got {len(row)}"
@@ -201,7 +239,7 @@ def read_forecast(path: str, net: Network) -> list[ForecastVector]:
         if seen[i]:
             raise IoFailure(f"{path} row {lineno}: duplicate entry for {kind} {ident!r}")
         seen[i] = True
-        for h, cell in enumerate(row[2:]):
+        for cell in row[2:]:
             try:
                 v = float(cell)
             except ValueError:
@@ -210,16 +248,12 @@ def read_forecast(path: str, net: Network) -> list[ForecastVector]:
                 ) from None
             if not np.isfinite(v):
                 raise IoFailure(f"{path} row {lineno}: value {cell!r} is not finite")
-            values[h, i] = v
-    if not seen.all():
-        missing = int(np.flatnonzero(~seen)[0])
-        kind, local = net.index_map.component(missing)
-        ident = component_ids(net)[missing]
-        raise IoFailure(
-            f"{path}: {int((~seen).sum())} component(s) missing, "
-            f"first is {kind} {ident!r}"
-        )
-    return [ForecastVector(values[h], horizon=h + 1) for h in range(horizons)]
+    missing = int(np.flatnonzero(~seen)[0])
+    kind, _ = net.index_map.component(missing)
+    raise IoFailure(
+        f"{path}: {int((~seen).sum())} component(s) missing, "
+        f"first is {kind} {component_ids(net)[missing]!r}"
+    )
 
 
 def read_weights(path: str, net: Network) -> np.ndarray:

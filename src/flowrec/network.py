@@ -16,6 +16,7 @@ the full coherent stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -241,6 +242,9 @@ class FlowAggregationMatrix:
             uses edge e.
         matrix: CSR stack [vp; ep; I], shape (n, n_paths).  Full column rank
             by construction thanks to the identity block.
+        matrix_t: CSR copy of ``matrix.T``, built on first use and kept:
+            a product with it is faster than with the CSC view
+            ``matrix.T``, and the copy costs about ten products.
         index_map: the component layout this matrix aggregates into.
     """
 
@@ -272,6 +276,12 @@ class FlowAggregationMatrix:
             (np.ones(len(e_rows)), (e_rows, e_cols)), shape=shape_e
         )
         return cls(vp, ep, imap)
+
+    @cached_property
+    def matrix_t(self) -> sp.csr_matrix:
+        # Lazy: callers that build an operator only to edit or check it
+        # never pay for the copy.
+        return self.matrix.T.tocsr()
 
     @property
     def n(self) -> int:

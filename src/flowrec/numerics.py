@@ -8,7 +8,10 @@ numerics itself:
   vector product.  The reconcilers hand it a closure over the aggregation
   blocks, so the normal-equation matrix and the generalised Hessians are
   applied, never formed.  Their eigenvalues sit at or above the weight of
-  the identity block, so plain CG needs no preconditioning.
+  the identity block, so plain CG needs no preconditioning.  The right-hand
+  side may be a vector or an (n, H) block of H of them; a block runs as one
+  lockstep CG with one operator product per step, and its
+  :class:`SpdSolveInfo` carries the totals plus one entry per column.
   :class:`SparseSpd` wraps an explicit matrix handed in from outside and
   checks its symmetry; operators built here are symmetric by construction
   and skip that check.
@@ -80,8 +83,18 @@ class SparseSpd:
 
 @dataclass
 class SpdSolveInfo:
+    """How a conjugate-gradient solve ended.
+
+    ``iterations`` and ``residual_norm`` describe the whole solve: for an
+    (n, H) right-hand side they are the sum of the columns' iterations and
+    the largest column residual.  ``columns`` then holds one
+    :class:`SpdSolveInfo` per column, in column order; it is empty for a
+    vector solve.
+    """
+
     iterations: int
     residual_norm: float
+    columns: tuple["SpdSolveInfo", ...] = ()
 
 
 def solve_spd_with_info(
@@ -89,34 +102,47 @@ def solve_spd_with_info(
 ) -> tuple[np.ndarray, SpdSolveInfo]:
     """Solve M x = rhs for symmetric positive definite M by conjugate gradient.
 
+    An (n, H) right-hand side solves the H systems M x_h = rhs_h at once:
+    the columns run in lockstep, each with its own step sizes, so every
+    iteration makes one operator product on a block rather than H products
+    on vectors.  Each column keeps the contract of a vector solve (its own
+    target tol * ||rhs_h||, the explicit residual recheck, the curvature
+    check, the iteration budget) and leaves the working set once its
+    recheck passes.  A vector right-hand side runs a loop of its own, which
+    carries none of the block's bookkeeping.
+
     Args:
         operator: a callable v -> M v, trusted to be symmetric, or an
             explicit matrix (a :class:`SparseSpd`, or anything convertible
-            to one, which checks its symmetry).
-        rhs: right-hand side vector.
-        tol: accept x once ||M x - rhs|| <= tol * ||rhs||.  The final
-            residual is recomputed explicitly, not trusted from the
+            to one, which checks its symmetry).  For an (n, H) rhs the
+            callable receives (n, k) blocks, 1 <= k <= H.
+        rhs: right-hand side, shape (n,) or (n, H).
+        tol: accept x_h once ||M x_h - rhs_h|| <= tol * ||rhs_h||.  The
+            final residual is recomputed explicitly, not trusted from the
             recurrence.
-        max_iter: iteration budget, default 10 * dimension.
+        max_iter: iteration budget per column, default 10 * n.
 
     Returns:
-        The solution and its :class:`SpdSolveInfo` (iterations, residual).
+        The solution, shaped like ``rhs``, and its :class:`SpdSolveInfo`.
 
     Raises:
         NotPositiveDefinite: nonpositive curvature encountered, or an
             explicit matrix that is not symmetric.
         NoConvergence: budget exhausted before the tolerance was met.
+        DimensionMismatch: rhs is not (n,) or (n, H).
     """
     b = np.asarray(rhs, dtype=float)
     if callable(operator):
-        matvec, dim = operator, b.size
+        matvec, dim = operator, (b.shape[0] if b.ndim else 0)
     else:
         m = operator if isinstance(operator, SparseSpd) else SparseSpd(operator)
         matvec, dim = m.matvec, m.dim
-    if b.shape != (dim,):
+    if b.ndim not in (1, 2) or b.shape[0] != dim:
         raise DimensionMismatch(f"rhs shape {b.shape} does not match dimension {dim}")
     if max_iter is None:
         max_iter = max(1, 10 * dim)
+    if b.ndim == 2:
+        return _block_cg(matvec, b, tol, max_iter)
 
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
@@ -163,6 +189,92 @@ def solve_spd_with_info(
         p = r + (rs_new / rs) * p
         rs = rs_new
         iterations += 1
+
+
+def _block_cg(matvec, b: np.ndarray, tol: float, max_iter: int):
+    """Lockstep CG over the columns of b; see :func:`solve_spd_with_info`.
+
+    The state is kept one row per column, so every dot product and norm runs
+    on a contiguous vector exactly as in the vector loop.  With an operator
+    that treats each column alike (a sparse product does), each column's
+    iterates, iteration count and residual are then bitwise those of a
+    vector solve of that column.  ``act`` lists the columns still in the
+    working set; the rows of x, r, p and the entries of rs, targets and
+    verifications follow its order.
+    """
+    def apply(v: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(matvec(v.T).T)
+
+    def dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # A stack of (1, n) @ (n, 1) products: one BLAS dot per row, the
+        # same call a vector's u @ v makes, so the sums round alike.
+        return (u[:, None, :] @ v[:, :, None]).ravel()
+
+    bt = np.ascontiguousarray(b.T)
+    h = bt.shape[0]
+    x_out = np.zeros_like(bt)
+    iterations = np.zeros(h, dtype=int)
+    residuals = np.zeros(h)
+    b_norms = np.sqrt(dots(bt, bt))
+    act = np.flatnonzero(b_norms > 0.0)  # a zero column is solved by x = 0
+    targets = tol * b_norms[act]
+    x = np.zeros((act.size, bt.shape[1]))
+    r = bt[act]
+    p = r.copy()
+    rs = dots(r, r)
+    verifications = np.full(act.size, 2)  # per column, as in the vector loop
+    it = 0
+
+    while act.size:
+        met = np.flatnonzero(np.sqrt(rs) <= targets)
+        if met.size:
+            true_r = bt[act[met]] - apply(x[met])
+            true_norm = np.sqrt(dots(true_r, true_r))
+            ok = true_norm <= targets[met]
+            stalled = np.flatnonzero(~ok & (verifications[met] == 0))
+            if stalled.size:
+                k = stalled[0]
+                raise NoConvergence(
+                    f"conjugate gradient stalled on column {act[met[k]]} at residual "
+                    f"{true_norm[k]:.3e} (target {targets[met[k]]:.3e}) after {it} iterations"
+                )
+            redo = met[~ok]
+            verifications[redo] -= 1
+            r[redo] = true_r[~ok]
+            p[redo] = true_r[~ok]
+            rs[redo] = dots(true_r[~ok], true_r[~ok])
+            done = met[ok]
+            x_out[act[done]] = x[done]
+            iterations[act[done]] = it
+            residuals[act[done]] = true_norm[ok]
+            keep = np.ones(act.size, dtype=bool)
+            keep[done] = False
+            act, targets, verifications, rs = act[keep], targets[keep], verifications[keep], rs[keep]
+            x, r, p = x[keep], r[keep], p[keep]
+            if not act.size:
+                break
+        if it >= max_iter:
+            k = int(np.argmax(np.sqrt(rs) / targets))
+            raise NoConvergence(
+                f"conjugate gradient exceeded {max_iter} iterations on column {act[k]} "
+                f"(residual {np.sqrt(rs[k]):.3e}, target {targets[k]:.3e})"
+            )
+        ap = apply(p)
+        p_ap = dots(p, ap)
+        if np.any(p_ap <= 0.0):
+            raise NotPositiveDefinite(
+                f"direction of nonpositive curvature (p^T M p = {p_ap.min():.3e})"
+            )
+        alpha = (rs / p_ap)[:, None]
+        x += alpha * p
+        r -= alpha * ap
+        rs_new = dots(r, r)
+        p = r + (rs_new / rs)[:, None] * p
+        rs = rs_new
+        it += 1
+
+    columns = tuple(SpdSolveInfo(int(i), float(res)) for i, res in zip(iterations, residuals))
+    return x_out.T, SpdSolveInfo(int(iterations.sum()), float(residuals.max(initial=0.0)), columns)
 
 
 # --- linear programming -------------------------------------------------------

@@ -6,7 +6,13 @@ differs is the objective:
 
 * :func:`reconcile_l2` minimises the sum of squared adjustments via the
   normal equations over path values, solved by conjugate gradient that
-  applies S^T S through S and never forms it.
+  applies S^T S as two products, with S and the network's cached S^T, and
+  never forms it.
+  The ``general:l2`` route of :func:`reconcile_general` also takes an
+  (n, H) block of forecasts and solves all H columns in one multi-column
+  CG; it returns one result per column, with that column's CG iterations
+  and gradient-norm certificate (twice its CG residual, as for a vector)
+  and an equal share of the block's wall time.
 * :func:`reconcile_weighted` is the closed-form solution of the generic
   weighted projection under explicit linear constraints, computed densely.
 * :func:`reconcile_l1` minimises the (weighted) sum of absolute
@@ -184,23 +190,33 @@ def _package(
 def _l2_result(
     yhat, y: np.ndarray, agg: FlowAggregationMatrix, loss: LossSpec, method: str,
     tol: float, t0: float,
-) -> ReconciliationResult:
+) -> ReconciliationResult | list[ReconciliationResult]:
     """Solve the weighted normal equations S^T W S b = S^T W y and package b.
 
     CG applies S^T W S as v -> S^T (w * (S v)), so the Gram matrix, several
-    times denser than S, is never formed.
+    times denser than S, is never formed.  An (n, H) block y is solved as
+    one multi-column CG and gives a list of H results, one per column: each
+    carries its column's iterations and gradient-norm certificate, and an
+    equal share of the block's wall time.
     """
-    s = agg.matrix
-    st = s.T.tocsr()
+    s, st = agg.matrix, agg.matrix_t
     w = loss.resolved_weights(agg.n)
+    if y.ndim == 2:
+        w = w[:, None]
     b, info = solve_spd_with_info(lambda v: st @ (w * (s @ v)), st @ (w * y), tol=tol)
-    stats = SolverStats(
-        method=method,
-        iterations=info.iterations,
-        wall_time_s=time.perf_counter() - t0,
-        gradient_norm=2.0 * info.residual_norm,
-    )
-    return _package(y, b, agg, loss, stats, like=yhat)
+    wall = time.perf_counter() - t0
+    if y.ndim == 1:
+        stats = SolverStats(method, info.iterations, wall, gradient_norm=2.0 * info.residual_norm)
+        return _package(y, b, agg, loss, stats, like=yhat)
+    results = []
+    for h, col in enumerate(info.columns):
+        stats = SolverStats(
+            method, col.iterations, wall / y.shape[1], gradient_norm=2.0 * col.residual_norm
+        )
+        res = _package(y[:, h], b[:, h], agg, loss, stats)
+        res.y_tilde.horizon = h + 1
+        results.append(res)
+    return results
 
 
 def reconcile_l2(yhat, agg: FlowAggregationMatrix, tol: float = 1e-12) -> ReconciliationResult:
@@ -366,13 +382,16 @@ def reconcile_general(
     tol: float = 1e-8,
     max_iter: int = 10_000,
     start: np.ndarray | None = None,
-) -> ReconciliationResult:
+) -> ReconciliationResult | list[ReconciliationResult]:
     """Reconcile under any smooth symmetric loss on the adjustments.
 
     The objective sum_i w_i f(|(S b)_i - yhat_i|) is differentiable in b
     exactly when f'(0) = 0; the absolute loss fails that and is rejected
     with :class:`NonSmoothLoss` (use :func:`reconcile_l1`).  Plain l2 is
-    routed through the normal equations.  Huber without a box runs damped
+    routed through the normal equations; under l2 without a box, ``yhat``
+    may also be an (n, H) block of H forecasts (horizons), solved as one
+    multi-column CG and returned as a list of H results in column order,
+    the h-th with horizon h + 1.  Huber without a box runs damped
     semismooth Newton steps on the generalised Hessian
     S^T diag(w [|(S b - yhat)_i| <= delta]) S, applied through S and never
     formed; custom losses, which carry no second derivative, and box-bounded
@@ -385,8 +404,18 @@ def reconcile_general(
     rejected here and belong to the LP route.
     """
     t0 = time.perf_counter()
-    y = _as_component_vector(yhat, agg.n)
     n = agg.n
+    y = np.asarray(getattr(yhat, "data", yhat), dtype=float)
+    if y.ndim == 2 and y.shape[0] == n:
+        if loss.kind != "l2" or box is not None:
+            raise DimensionMismatch(
+                f"an ({n}, H) block is reconciled only under l2 without a box; "
+                "pass its columns one at a time"
+            )
+        if not np.all(np.isfinite(y)):
+            raise BadParameter("component block contains NaN or infinite entries")
+    else:
+        y = _as_component_vector(y, n)
     w = loss.resolved_weights(n)
 
     if loss.kind == "l1":
@@ -423,8 +452,7 @@ def reconcile_general(
         return _l2_result(yhat, y, agg, loss, "general:l2", min(tol, 1e-10), t0)
 
     f, f_prime = _smooth_slope(loss)
-    s = agg.matrix
-    st = s.T.tocsr()
+    s, st = agg.matrix, agg.matrix_t
 
     def objective(b: np.ndarray) -> tuple[float, np.ndarray]:
         r = s @ b - y

@@ -13,8 +13,10 @@ the band), which turns the problem into an unconstrained, continuously
 differentiable, strongly convex and piecewise-quadratic minimisation.
 Damped semismooth Newton steps solve it; the generalised Hessian is the
 normal-equation operator of the edges outside their band,
-2 (VP^T VP + EP_a^T EP_a + I), applied through VP and EP without being
-formed, so a few steps end it once that band pattern settles.
+2 S^T D S with D = diag([1; a; 1]) and a marking those edges, applied
+through S and the network's cached S^T without being formed (two sparse
+products per CG step), so a few steps end it once that band pattern
+settles.
 """
 
 from __future__ import annotations
@@ -86,39 +88,36 @@ def reconcile_relaxed(
         raise BadParameter(f"epsilon must be finite and >= 0, got {epsilon!r}")
     imap = agg.index_map
     y = _as_component_vector(yhat, imap.n)
-    y_nodes = y[imap.node_slice]
     y_edges = y[imap.edge_slice]
     y_paths = y[imap.path_slice]
-    vp = agg.vp
-    ep = agg.ep
-    vp_t = vp.T.tocsr()
-    ep_t = ep.T.tocsr()
+    s, st = agg.matrix, agg.matrix_t
+    edges = imap.edge_slice
 
     def objective(p: np.ndarray) -> tuple[float, np.ndarray]:
-        r_nodes = vp @ p - y_nodes
-        r_edges = ep @ p - y_edges
-        r_edges = np.sign(r_edges) * np.maximum(np.abs(r_edges) - epsilon, 0.0)
-        r_paths = p - y_paths
-        value = float(r_nodes @ r_nodes + r_edges @ r_edges + r_paths @ r_paths)
-        grad = 2.0 * (vp_t @ r_nodes + ep_t @ r_edges + r_paths)
-        return value, grad
+        # r = [r_nodes; r_edges shrunk by the band; r_paths], so grad = 2 S^T r.
+        r = s @ p - y
+        r_edges = r[edges]
+        r[edges] = np.sign(r_edges) * np.maximum(np.abs(r_edges) - epsilon, 0.0)
+        return float(r @ r), 2.0 * (st @ r)
 
     # Edges outside their band add a quadratic term; those inside add none.
     patterns: list[np.ndarray] = []
 
     def hessian(p: np.ndarray):
-        active = np.abs(ep @ p - y_edges) > epsilon
+        active = np.abs(agg.ep @ p - y_edges) > epsilon
         if not patterns or not np.array_equal(active, patterns[-1]):
             patterns.append(active)
-        return lambda v: 2.0 * (vp_t @ (vp @ v) + ep_t @ (active * (ep @ v)) + v)
+        d = np.ones(imap.n)
+        d[edges] = active
+        return lambda v: 2.0 * (st @ (d * (s @ v)))
 
     res = minimize_semismooth_newton(objective, hessian, y_paths, tol=tol, max_iter=max_iter)
     p = res.x
 
-    edge_sums = ep @ p
+    edge_sums = agg.ep @ p
     e_vals = np.clip(y_edges, edge_sums - epsilon, edge_sums + epsilon)
     violations = np.abs(edge_sums - e_vals)
-    out = np.concatenate([vp @ p, e_vals, p])
+    out = np.concatenate([agg.vp @ p, e_vals, p])
     obj_full = float(np.sum((out - y) ** 2))
     deviation = None
     if exact is not None:

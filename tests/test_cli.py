@@ -25,6 +25,7 @@ from flowrec import (
 )
 from flowrec.cli import main
 
+from conftest import random_instance
 from test_dynamic import FAN_NEW_PATHS, fan_net, fan_vector  # noqa: F401
 
 CHAIN_BASE = np.array([3.0, 5.0, 4.0, 2.0, 6.0, 4.0])
@@ -94,6 +95,34 @@ class TestReconcile:
             assert res == pytest.approx(expect, abs=1e-12)
         diag = read_json(out + ".diagnostics.json")
         assert [h["horizon"] for h in diag["horizons"]] == [1, 2]
+
+    def test_weighted_multi_horizon_l2_matches_the_per_column_route(self, tmp_path):
+        # The CLI solves every horizon in one block; each column must agree
+        # with its own library solve and carry its own certificate.
+        inst = random_instance(nodes=30, seed=606, density=0.2)
+        net, agg = inst.network, inst.agg
+        rng = np.random.default_rng(606)
+        cols = [inst.y_base.data * rng.uniform(0.5, 2.0) for _ in range(6)]
+        w = rng.uniform(0.2, 5.0, agg.n)
+        net_path, fc_path = stage(tmp_path, net, cols)
+        w_path = str(tmp_path / "w.csv")
+        fileio.write_forecast(w_path, w, net)
+        out = str(tmp_path / "rec.csv")
+        rc = main(["reconcile", "--network", net_path, "--forecast", fc_path,
+                   "--weights", w_path, "--out", out])
+        assert rc == 0
+        got = read_out(out, net)
+        horizons = read_json(out + ".diagnostics.json")["horizons"]
+        assert len(got) == len(horizons) == 6
+        s = agg.matrix
+        for col, res, diag in zip(cols, got, horizons):
+            expect = reconcile_general(col, agg, LossSpec("l2", weights=w)).y_tilde.data
+            assert np.max(np.abs(res - expect)) <= 1e-9 * (1.0 + np.max(np.abs(col)))
+            # The certificate is 2 ||S^T W (yhat - y)||, recomputed here from the
+            # written output; the two differ only by rounding (about 1e-6 relative).
+            gradient = 2.0 * np.linalg.norm(s.T @ (w * (col - res)))
+            assert diag["gradient_norm"] == pytest.approx(gradient, rel=1e-4)
+            assert diag["iterations"] >= 1
 
     def test_l1_matches_the_library_route(self, tmp_path, chain_net, chain_agg):
         net_path, fc_path = stage(tmp_path, chain_net, CHAIN_BASE)

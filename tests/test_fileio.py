@@ -1,5 +1,7 @@
 """Tests for the on-disk formats: network JSON and the CSV panels."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -159,68 +161,122 @@ class TestForecastCsv:
         with pytest.raises(IoFailure, match="empty"):
             read_forecast(str(p), chain_net)
 
+    # Each row-error test runs over one and three horizons (a loop, so the
+    # test ids stay as they were).  A bad value sits in the last column, so
+    # the bulk parse must still trace it to its row.
+
     def test_wrong_field_count_reports_the_row(self, tmp_path, chain_net):
-        p = tmp_path / "f.csv"
-        write_forecast(str(p), np.arange(6.0), chain_net)
-        lines = p.read_text().splitlines()
-        lines[3] = "node,t"
-        p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(IoFailure, match="row 4"):
-            read_forecast(str(p), chain_net)
+        for horizons in ROW_ERROR_HORIZONS:
+            p, lines = _forecast_lines(tmp_path, chain_net, horizons)
+            lines[3] = "node,t"
+            _save(p, lines)
+            with pytest.raises(IoFailure, match="row 4"):
+                read_forecast(p, chain_net)
 
     def test_unknown_component_reports_the_row(self, tmp_path, chain_net):
-        p = tmp_path / "f.csv"
-        write_forecast(str(p), np.arange(6.0), chain_net)
-        lines = p.read_text().splitlines()
-        lines[2] = "node,zz,1.0"
-        p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(IoFailure, match="row 3"):
-            read_forecast(str(p), chain_net)
+        for horizons in ROW_ERROR_HORIZONS:
+            p, lines = _forecast_lines(tmp_path, chain_net, horizons)
+            lines[2] = f"node,zz,{_values(horizons)}"
+            _save(p, lines)
+            with pytest.raises(IoFailure, match="row 3"):
+                read_forecast(p, chain_net)
 
     def test_unknown_kind_reports_the_row(self, tmp_path, chain_net):
-        p = tmp_path / "f.csv"
-        write_forecast(str(p), np.arange(6.0), chain_net)
-        lines = p.read_text().splitlines()
-        lines[5] = "blob,s->a,1.0"
-        p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(IoFailure, match="row 6"):
-            read_forecast(str(p), chain_net)
+        for horizons in ROW_ERROR_HORIZONS:
+            p, lines = _forecast_lines(tmp_path, chain_net, horizons)
+            lines[5] = f"blob,s->a,{_values(horizons)}"
+            _save(p, lines)
+            with pytest.raises(IoFailure, match="row 6"):
+                read_forecast(p, chain_net)
 
     def test_duplicate_component_reports_the_row(self, tmp_path, chain_net):
-        p = tmp_path / "f.csv"
-        write_forecast(str(p), np.arange(6.0), chain_net)
-        lines = p.read_text().splitlines()
-        lines[6] = lines[1]
-        p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(IoFailure, match="row 7.*duplicate"):
-            read_forecast(str(p), chain_net)
+        for horizons in ROW_ERROR_HORIZONS:
+            p, lines = _forecast_lines(tmp_path, chain_net, horizons)
+            lines[6] = lines[1]
+            _save(p, lines)
+            with pytest.raises(IoFailure, match="row 7.*duplicate"):
+                read_forecast(p, chain_net)
 
     def test_non_number_reports_the_row(self, tmp_path, chain_net):
-        p = tmp_path / "f.csv"
-        write_forecast(str(p), np.arange(6.0), chain_net)
-        lines = p.read_text().splitlines()
-        lines[2] = "node,a,abc"
-        p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(IoFailure, match="row 3.*not a number"):
-            read_forecast(str(p), chain_net)
+        for horizons in ROW_ERROR_HORIZONS:
+            p, lines = _forecast_lines(tmp_path, chain_net, horizons)
+            lines[2] = f"node,a,{_values(horizons, last='abc')}"
+            _save(p, lines)
+            with pytest.raises(IoFailure, match="row 3.*not a number"):
+                read_forecast(p, chain_net)
 
     def test_non_finite_rejected(self, tmp_path, chain_net):
-        p = tmp_path / "f.csv"
-        write_forecast(str(p), np.arange(6.0), chain_net)
-        lines = p.read_text().splitlines()
-        lines[2] = "node,a,nan"
-        p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(IoFailure, match="not finite"):
-            read_forecast(str(p), chain_net)
+        for horizons in ROW_ERROR_HORIZONS:
+            p, lines = _forecast_lines(tmp_path, chain_net, horizons)
+            lines[2] = f"node,a,{_values(horizons, last='nan')}"
+            _save(p, lines)
+            with pytest.raises(IoFailure, match="row 3.*not finite"):
+                read_forecast(p, chain_net)
 
     def test_missing_component_named_in_the_error(self, tmp_path, chain_net):
+        for horizons in ROW_ERROR_HORIZONS:
+            p, lines = _forecast_lines(tmp_path, chain_net, horizons)
+            del lines[2]  # drop node a
+            _save(p, lines)
+            with pytest.raises(IoFailure, match="missing.*'a'"):
+                read_forecast(p, chain_net)
+
+    def test_ids_with_commas_and_quotes_round_trip(self, tmp_path):
+        name = 'a,"b"'
+        net = Network(["s", name, "t"], [("s", name), (name, "t")], [(0, 1)])
+        y = np.array([1.5, 2.5, -3.0, 4.0, 5.0, 6.0])
         p = tmp_path / "f.csv"
-        write_forecast(str(p), np.arange(6.0), chain_net)
-        lines = p.read_text().splitlines()
-        del lines[2]  # drop node a
-        p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(IoFailure, match="missing.*'a'"):
-            read_forecast(str(p), chain_net)
+        write_forecast(str(p), y, net)
+        assert np.array_equal(read_forecast(str(p), net)[0].data, y)
+        assert p.read_text() == _csv_writer_text(net, [y])
+
+    def test_24_horizons_write_read_write_is_byte_identical(self, tmp_path, distribution_net):
+        rng = np.random.default_rng(5)
+        n = len(component_ids(distribution_net))
+        # Magnitudes from 1e-9 to 1e9, plus a negative zero, stress repr.
+        cols = [rng.normal(size=n) * 10.0 ** rng.uniform(-9, 9, size=n) for _ in range(24)]
+        cols[0][0] = -0.0
+        p1 = tmp_path / "f1.csv"
+        p2 = tmp_path / "f2.csv"
+        write_forecast(str(p1), cols, distribution_net)
+        back = read_forecast(str(p1), distribution_net)
+        assert len(back) == 24
+        write_forecast(str(p2), back, distribution_net)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert p1.read_text() == _csv_writer_text(distribution_net, cols)
+
+
+ROW_ERROR_HORIZONS = (1, 3)
+
+
+def _forecast_lines(tmp_path, net, horizons):
+    """A valid forecast CSV with ``horizons`` columns, and its lines."""
+    n = len(component_ids(net))
+    p = tmp_path / f"f{horizons}.csv"
+    write_forecast(str(p), [np.arange(n, dtype=float) + h for h in range(horizons)], net)
+    return str(p), p.read_text().splitlines()
+
+
+def _save(path, lines):
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _values(horizons, last="1.0"):
+    """Value cells for one row, ``last`` in the last column."""
+    return ",".join(["1.0"] * (horizons - 1) + [last])
+
+
+def _csv_writer_text(net, cols):
+    """The forecast CSV as csv.writer writes it, one cell at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    header = ["value"] if len(cols) == 1 else [f"value{h}" for h in range(1, len(cols) + 1)]
+    writer.writerow(["kind", "id", *header])
+    kinds = ["node"] * len(net.nodes) + ["edge"] * len(net.edges) + ["path"] * len(net.paths)
+    for i, (kind, ident) in enumerate(zip(kinds, component_ids(net))):
+        writer.writerow([kind, ident, *[repr(float(c[i])) for c in cols]])
+    return buf.getvalue()
 
 
 class TestWeightsAndBox:

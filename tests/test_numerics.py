@@ -65,8 +65,11 @@ class TestSolveSpd:
     def test_callable_operator_keeps_the_curvature_and_shape_checks(self):
         with pytest.raises(NotPositiveDefinite):
             solve_spd_with_info(lambda v: np.array([1.0, -1.0]) * v, np.ones(2))
+        # A callable takes its dimension from the rhs, and an (n, H) block
+        # is a valid rhs, so only a rhs that is neither vector nor block is
+        # a shape error here.
         with pytest.raises(DimensionMismatch):
-            solve_spd_with_info(lambda v: v, np.ones((2, 1)))
+            solve_spd_with_info(lambda v: v, np.ones((2, 1, 1)))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotPositiveDefinite):
@@ -82,6 +85,142 @@ class TestSolveSpd:
         m = a @ a.T + np.eye(30)
         with pytest.raises(NoConvergence):
             solve_spd_with_info(spd_from(m), rng.normal(size=30), tol=1e-14, max_iter=1)
+
+
+def _random_spd(rng, n):
+    a = rng.normal(size=(n, n))
+    return a @ a.T + np.eye(n)
+
+
+class TestSolveSpdBlock:
+    """An (n, H) right-hand side: one lockstep CG, each column on its own contract."""
+
+    def test_each_column_matches_its_vector_solve(self):
+        # A sparse operator treats each column alike, so the lockstep solve
+        # must reproduce every column's vector solve exactly.
+        rng = np.random.default_rng(21)
+        a = sp.random(60, 40, density=0.1, random_state=21, format="csr")
+        m = (a.T @ a + sp.identity(40)).tocsr()
+        # Columns of very different scale and difficulty leave at different steps.
+        rhs = rng.normal(size=(40, 5)) * np.array([1e-3, 1.0, 1e3, 1.0, 1.0])
+        rhs[:, 3] = m @ np.eye(40)[0]
+        tol = 1e-10
+        x, info = solve_spd_with_info(lambda v: m @ v, rhs, tol=tol)
+        assert x.shape == rhs.shape
+        assert len(info.columns) == 5
+        for h in range(5):
+            x_h, info_h = solve_spd_with_info(lambda v: m @ v, rhs[:, h], tol=tol)
+            assert np.array_equal(x[:, h], x_h)
+            assert info.columns[h].iterations == info_h.iterations
+            assert info.columns[h].residual_norm == info_h.residual_norm
+            assert np.linalg.norm(m @ x[:, h] - rhs[:, h]) <= tol * np.linalg.norm(rhs[:, h])
+        assert len({c.iterations for c in info.columns}) > 1
+        assert isinstance(info.iterations, int)
+        assert info.iterations == sum(c.iterations for c in info.columns)
+        assert isinstance(info.residual_norm, float)
+        assert info.residual_norm == max(c.residual_norm for c in info.columns)
+
+    def test_dense_callable_meets_each_column_tolerance(self):
+        rng = np.random.default_rng(25)
+        m = _random_spd(rng, 30)
+        rhs = rng.normal(size=(30, 4)) * np.array([1e-3, 1.0, 1e3, 1.0])
+        tol = 1e-10
+        x, info = solve_spd_with_info(lambda v: m @ v, rhs, tol=tol)
+        for h in range(4):
+            target = tol * np.linalg.norm(rhs[:, h])
+            residual = np.linalg.norm(m @ x[:, h] - rhs[:, h])
+            assert residual <= target
+            assert info.columns[h].residual_norm == pytest.approx(residual, rel=1e-3, abs=1e-3 * target)
+            # Each answer lies within target / lambda_min of the solution.
+            x_h = solve_spd_with_info(lambda v: m @ v, rhs[:, h], tol=tol)[0]
+            assert np.linalg.norm(x[:, h] - x_h) <= 2 * target / np.linalg.eigvalsh(m).min()
+
+    def test_explicit_matrix_block(self):
+        rng = np.random.default_rng(22)
+        m = _random_spd(rng, 8)
+        rhs = rng.normal(size=(8, 3))
+        x, info = solve_spd_with_info(spd_from(m), rhs, tol=1e-12)
+        assert np.allclose(x, np.linalg.solve(m, rhs), atol=1e-8)
+        assert all(c.iterations >= 1 for c in info.columns)
+
+    def test_zero_column_returns_zeros_and_does_not_stall_the_others(self):
+        rng = np.random.default_rng(23)
+        m = _random_spd(rng, 20)
+        rhs = rng.normal(size=(20, 3))
+        rhs[:, 1] = 0.0
+        x, info = solve_spd_with_info(lambda v: m @ v, rhs, tol=1e-10)
+        assert np.array_equal(x[:, 1], np.zeros(20))
+        assert info.columns[1].iterations == 0
+        assert info.columns[1].residual_norm == 0.0
+        for h in (0, 2):
+            assert np.linalg.norm(m @ x[:, h] - rhs[:, h]) <= 1e-10 * np.linalg.norm(rhs[:, h])
+            assert info.columns[h].iterations >= 1
+
+    def test_indefinite_operator_raises(self):
+        d = np.array([1.0, 2.0, -1.0])
+        with pytest.raises(NotPositiveDefinite):
+            solve_spd_with_info(lambda v: d[:, None] * v, np.ones((3, 2)))
+        with pytest.raises(NotPositiveDefinite):
+            solve_spd_with_info(spd_from(np.diag(d)), np.ones((3, 2)))
+
+    def test_iteration_budget_enforced(self):
+        rng = np.random.default_rng(0)
+        m = _random_spd(rng, 30)
+        with pytest.raises(NoConvergence):
+            solve_spd_with_info(spd_from(m), rng.normal(size=(30, 4)), tol=1e-14, max_iter=1)
+
+    def test_wrong_number_of_rows_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            solve_spd_with_info(spd_from(np.eye(3)), np.ones((4, 2)))
+
+    def test_columns_that_rederive_their_residual_still_match(self):
+        # At tol = 3e-15 the recurrence residual falls below the target before
+        # the true one does, so the recheck fails and the column restarts
+        # from its re-derived residual before it passes.
+        a = sp.random(60, 40, density=0.1, random_state=1, format="csr")
+        m = (a.T @ a + 1e-2 * sp.identity(40)).tocsr()
+        rhs = np.random.default_rng(1).normal(size=(40, 4))
+        x, info = solve_spd_with_info(lambda v: m @ v, rhs, tol=3e-15)
+        rederived = 0
+        for h in range(4):
+            calls = []
+            x_h, info_h = solve_spd_with_info(
+                lambda v: calls.append(1) or m @ v, rhs[:, h], tol=3e-15
+            )
+            rederived += len(calls) - info_h.iterations > 1  # more than one recheck
+            assert np.array_equal(x[:, h], x_h)
+            assert info.columns[h].iterations == info_h.iterations
+        assert rederived >= 1
+
+    def test_vector_rhs_is_untouched_by_the_block_path(self):
+        # The vector loop is the one the package shipped before block solves;
+        # this is that loop written out, to compare bitwise.
+        def reference_cg(mat, b, tol):
+            x = np.zeros_like(b)
+            r = b.copy()
+            p = r.copy()
+            rs = float(r @ r)
+            target = tol * float(np.linalg.norm(b))
+            it = 0
+            while np.sqrt(rs) > target:
+                ap = mat @ p
+                alpha = rs / float(p @ ap)
+                x += alpha * p
+                r -= alpha * ap
+                rs_new = float(r @ r)
+                p = r + (rs_new / rs) * p
+                rs = rs_new
+                it += 1
+            return x, it
+
+        rng = np.random.default_rng(24)
+        m = _random_spd(rng, 25)
+        b = rng.normal(size=25)
+        x, info = solve_spd_with_info(lambda v: m @ v, b, tol=1e-10)
+        x_ref, it_ref = reference_cg(m, b, 1e-10)
+        assert np.array_equal(x, x_ref)
+        assert info.iterations == it_ref
+        assert info.columns == ()
 
 
 class TestSolveLp:
