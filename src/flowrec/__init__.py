@@ -93,7 +93,7 @@ from .reconcile import (
     reconcile_l2,
     reconcile_weighted,
 )
-from .relaxed import RelaxedResult, reconcile_relaxed
+from .relaxed import reconcile_relaxed
 from .series import (
     CoherenceReport,
     ForecastVector,

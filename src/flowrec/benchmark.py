@@ -290,7 +290,7 @@ def method_callable(name: str):
         return lambda inst: reconcile_general(inst.y_base, inst.agg, loss).y_tilde.data
     if name.startswith("relaxed:"):
         eps = _parse_parameter(name, "relaxed:")
-        return lambda inst: reconcile_relaxed(inst.y_base, inst.agg, eps).y_epsilon.data
+        return lambda inst: reconcile_relaxed(inst.y_base, inst.agg, eps).y_tilde.data
     raise BadParameter(f"unknown method {name!r}")
 
 

@@ -48,6 +48,29 @@ def _parse_loss(text: str, weights) -> LossSpec:
     raise BadParameter(f"--loss must be l2, l1 or huber:<delta>, got {text!r}")
 
 
+def _horizon_diagnostics(vec, res, agg) -> dict:
+    """One sidecar entry: a result's stats, every certificate it carries,
+    and the coherence of the forecast before and of the answer after."""
+    pre = check_coherence(vec, agg)
+    stats, post = res.stats, res.coherence
+    diag = {
+        "method": stats.method,
+        "loss_value": res.loss_value,
+        "iterations": stats.iterations,
+        "wall_time_s": stats.wall_time_s,
+        "horizon": vec.horizon,
+        "pre_max_node_residual": pre.max_node_residual,
+        "pre_max_edge_residual": pre.max_edge_residual,
+        "post_max_node_residual": post.max_node_residual,
+        "post_max_edge_residual": post.max_edge_residual,
+        "coherent": post.coherent,
+    }
+    for key in ("duality_gap", "max_violation", "gradient_norm"):
+        if getattr(stats, key) is not None:
+            diag[key] = getattr(stats, key)
+    return diag
+
+
 def _cmd_reconcile(args) -> int:
     net = fileio.read_network(args.network)
     agg = FlowAggregationMatrix.from_network(net)
@@ -74,45 +97,8 @@ def _cmd_reconcile(args) -> int:
     else:
         solved = [reconcile_general(vec, agg, loss, box=box) for vec in vectors]
 
-    outputs = []
-    horizon_diags = []
-    for vec, res in zip(vectors, solved):
-        pre = check_coherence(vec, agg)
-        if args.epsilon is not None:
-            out = res.y_epsilon
-            post = check_coherence(out, agg)
-            diag = {
-                "method": f"relaxed:{args.epsilon}",
-                "loss_value": res.objective,
-                "iterations": res.iterations,
-                "wall_time_s": res.wall_time_s,
-                "max_violation": res.max_violation,
-                "gradient_norm": res.gradient_norm,
-            }
-        else:
-            if loss.kind == "l1":
-                certificate = {"duality_gap": res.stats.duality_gap}
-            else:
-                certificate = {"gradient_norm": res.stats.gradient_norm}
-            out = res.y_tilde
-            post = res.coherence
-            diag = {
-                "method": res.stats.method,
-                "loss_value": res.loss_value,
-                "iterations": res.stats.iterations,
-                "wall_time_s": res.stats.wall_time_s,
-                **certificate,
-            }
-        diag["horizon"] = vec.horizon
-        diag["pre_max_node_residual"] = pre.max_node_residual
-        diag["pre_max_edge_residual"] = pre.max_edge_residual
-        diag["post_max_node_residual"] = post.max_node_residual
-        diag["post_max_edge_residual"] = post.max_edge_residual
-        diag["coherent"] = post.coherent
-        outputs.append(out)
-        horizon_diags.append(diag)
-
-    fileio.write_forecast(args.out, outputs, net)
+    horizon_diags = [_horizon_diagnostics(vec, res, agg) for vec, res in zip(vectors, solved)]
+    fileio.write_forecast(args.out, [res.y_tilde for res in solved], net)
     sidecar = args.out + ".diagnostics.json"
     fileio.write_diagnostics(sidecar, {"horizons": horizon_diags})
     print(f"wrote {args.out} and {sidecar}")
@@ -267,7 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
     rem.set_defaults(func=_cmd_remove_edge)
 
     chk = upd_sub.add_parser(
-        "check-update", help="test whether a changed input forecast is benign"
+        "check-update",
+        help="test whether a changed input forecast can keep the reconciliation; "
+        "exact for l1, while under l2 a fresh solve can beat the kept vector "
+        "by delta^2 * P_xx",
     )
     chk.add_argument("--network", required=True)
     chk.add_argument("--reconciled", required=True)

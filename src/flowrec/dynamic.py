@@ -3,10 +3,12 @@
 Three situations are covered:
 
 * a new edge opens and flow must be routed onto paths that use it
-  (:func:`add_edge_update`, cost proportional to the affected paths);
+  (:func:`add_edge_update`; the value update grows with the affected
+  paths, its validation with the network);
 * a single base forecast component changes and we want a constant-time
   check of whether the old reconciliation can be kept
-  (:func:`check_data_update`, :func:`apply_monotone_sequence`);
+  (:func:`check_data_update`, :func:`apply_monotone_sequence`; exact for
+  l1, not for l2);
 * an edge disappears and its flow has to be rerouted along surviving
   routes (:func:`remove_edge`).
 """
@@ -55,6 +57,16 @@ class EdgeAdditionResult:
     affected_paths: tuple[int, ...]
 
 
+def _require_coherent(y: np.ndarray, net: Network) -> None:
+    report = check_coherence(y, FlowAggregationMatrix.from_network(net))
+    if not report.coherent:
+        raise ValidationError(
+            "prior vector is not coherent "
+            f"(max node residual {report.max_node_residual:.3e}, "
+            f"max edge residual {report.max_edge_residual:.3e})"
+        )
+
+
 def _validate_new_path(
     net: Network, edges: tuple[tuple[str, str], ...], path: tuple[int, ...], label: str
 ) -> None:
@@ -83,7 +95,6 @@ def add_edge_update(
     edge_forecast: float,
     new_paths,
     initial_values=None,
-    validate: bool = True,
 ) -> EdgeAdditionResult:
     """Open a new edge and spread its forecast over the paths that use it.
 
@@ -105,9 +116,10 @@ def add_edge_update(
             modelling decision, so the caller supplies these explicitly.
         initial_values: starting value per new path (default all zero, the
             natural choice for genuinely new routes).
-        validate: check coherence of ``y_tilde`` and fully validate the
-            updated network.  Turning this off keeps the update local when
-            the caller already trusts its inputs.
+
+    ``y_tilde`` must be coherent for ``net`` (else :class:`ValidationError`),
+    and the updated network goes through the validating :class:`Network`
+    constructor.
     """
     imap = net.index_map
     y = _as_component_vector(y_tilde, imap.n)
@@ -141,14 +153,7 @@ def add_edge_update(
         if not np.all(np.isfinite(init)):
             raise BadParameter("initial_values must be finite")
 
-    if validate:
-        report = check_coherence(y, FlowAggregationMatrix.from_network(net))
-        if not report.coherent:
-            raise ValidationError(
-                "prior vector is not coherent "
-                f"(max node residual {report.max_node_residual:.3e}, "
-                f"max edge residual {report.max_edge_residual:.3e})"
-            )
+    _require_coherent(y, net)
 
     delta = float(edge_forecast) - float(init.sum())
     adjustment = delta / k
@@ -172,15 +177,7 @@ def add_edge_update(
         nodes.extend(node_index[edges[e][1]] for e in p)
         node_block[nodes] += val
 
-    if validate:
-        updated = Network(net.nodes, edges, net.paths + tuple(paths), net.roles)
-    else:
-        updated = Network.__new__(Network)
-        updated.nodes = net.nodes
-        updated.edges = edges
-        updated.paths = net.paths + tuple(paths)
-        updated.roles = net.roles
-        updated._build_derived()
+    updated = Network(net.nodes, edges, net.paths + tuple(paths), net.roles)
 
     affected = tuple(range(imap.n_paths, imap.n_paths + k))
     return EdgeAdditionResult(
@@ -214,8 +211,8 @@ class UpdateLedger:
 
     ``reconciled`` is frozen at creation; ``forecast`` mutates as updates
     are applied.  ``valid`` stays true while every applied update moved its
-    component strictly toward the reconciled value, which is the regime in
-    which keeping ``reconciled`` unchanged is justified.
+    component strictly toward the reconciled value, the regime in which
+    :func:`check_data_update` keeps ``reconciled`` unchanged.
     """
 
     reconciled: np.ndarray
@@ -253,9 +250,14 @@ class UpdateLedger:
 def check_data_update(ledger: UpdateLedger, component, new_value: float) -> UpdateVerdict:
     """Constant-time test of whether one changed input forecast is benign.
 
-    The reconciliation can be kept when the new value lies strictly closer
-    to the reconciled value than the current one does; ties and moves away
-    trigger a re-reconcile.  Only the single component is inspected.
+    The verdict is ``still-optimal`` when the new value lies strictly
+    closer to the reconciled value than the current one does; ties and
+    moves away give ``needs-rereconcile``.  Only the single component is
+    inspected.
+
+    The verdict is exact for an l1 reconciliation.  For l2 it is not: after
+    a move of component x by delta, a fresh solve beats the kept vector by
+    delta^2 * P_xx in loss, P being the l2 projection (0 <= P_xx <= 1).
     """
     x = ledger.resolve(component)
     if not np.isfinite(new_value):
@@ -340,9 +342,7 @@ def _route_edges(net: Network, parent: dict[int, int], origin: int, dest: int) -
     return tuple(reversed(route))
 
 
-def remove_edge(
-    net: Network, y_tilde, edge, validate: bool = True
-) -> tuple[RemovalPlan, Network, ForecastVector]:
+def remove_edge(net: Network, y_tilde, edge) -> tuple[RemovalPlan, Network, ForecastVector]:
     """Delete an edge and reroute the flow of every path that used it.
 
     Each affected path's value moves onto the hop-shortest surviving route
@@ -355,13 +355,13 @@ def remove_edge(
         net: current network.
         y_tilde: current coherent vector for ``net``.
         edge: edge index or (tail, head) pair to remove.
-        validate: check coherence of the prior vector first.
 
     Returns:
         (plan, updated network, updated vector); see :class:`RemovalPlan`.
 
     Raises:
         UnknownEdge: the edge does not exist.
+        ValidationError: ``y_tilde`` is not coherent for ``net``.
         Disconnected: some affected origin-destination pair has no
             surviving route.
     """
@@ -377,14 +377,7 @@ def remove_edge(
         if not 0 <= e_star < len(net.edges):
             raise UnknownEdge(f"edge index {e_star} out of range [0, {len(net.edges)})")
 
-    if validate:
-        report = check_coherence(y, FlowAggregationMatrix.from_network(net))
-        if not report.coherent:
-            raise ValidationError(
-                "prior vector is not coherent "
-                f"(max node residual {report.max_node_residual:.3e}, "
-                f"max edge residual {report.max_edge_residual:.3e})"
-            )
+    _require_coherent(y, net)
 
     affected = net.paths_through("edge", e_star)
     path_vals = y[imap.path_slice]

@@ -9,7 +9,9 @@ panel at a time, and a file that fails the bulk parse is walked row by row
 only to name the first offending line.
 
 Component ids in CSV files are: the node name for nodes, ``tail->head``
-for edges, and ``P{i}`` for paths (i is the path index).
+for edges, and ``P{i}`` for paths (i is the path index).  Node names may
+contain ``->``; a network with two edges of one id has no CSV form, and
+the CSV readers and writers raise ``DuplicateId`` before opening a file.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .errors import IoFailure, UnknownComponent
+from .errors import DuplicateId, IoFailure, UnknownComponent
 from .network import Network
 from .reconcile import BoxConstraints
 from .series import ForecastVector
@@ -78,10 +80,22 @@ def edge_id(edge: tuple[str, str]) -> str:
     return f"{edge[0]}->{edge[1]}"
 
 
+def _edge_ids(net: Network) -> list[str]:
+    """``tail->head`` per edge; raises DuplicateId when two edges share one."""
+    ids = [edge_id(e) for e in net.edges]
+    first: dict[str, int] = {}
+    for e, ident in enumerate(ids):
+        if first.setdefault(ident, e) != e:
+            raise DuplicateId(
+                f"edges {net.edges[first[ident]]!r} and {net.edges[e]!r} share the id {ident!r}"
+            )
+    return ids
+
+
 def component_ids(net: Network) -> list[str]:
     """Ids for every component in canonical [nodes; edges; paths] order."""
     ids = list(net.nodes)
-    ids.extend(edge_id(e) for e in net.edges)
+    ids.extend(_edge_ids(net))
     ids.extend(f"P{i}" for i in range(len(net.paths)))
     return ids
 
@@ -93,9 +107,9 @@ def component_index(net: Network, kind: str, ident: str) -> int:
         if ident in net.node_index:
             return imap.global_index("node", net.node_index[ident])
     elif kind == "edge":
-        for e, pair in enumerate(net.edges):
-            if edge_id(pair) == ident:
-                return imap.global_index("edge", e)
+        ids = _edge_ids(net)
+        if ident in ids:
+            return imap.global_index("edge", ids.index(ident))
     elif kind == "path":
         if ident.startswith("P") and ident[1:].isdigit():
             j = int(ident[1:])
@@ -106,15 +120,14 @@ def component_index(net: Network, kind: str, ident: str) -> int:
     raise UnknownComponent(f"no {kind} with id {ident!r}")
 
 
+def _component_keys(net: Network) -> list[tuple[str, str]]:
+    """(kind, id) for every component in canonical order."""
+    kinds = ["node"] * len(net.nodes) + ["edge"] * len(net.edges) + ["path"] * len(net.paths)
+    return list(zip(kinds, component_ids(net)))
+
+
 def _id_table(net: Network) -> dict[tuple[str, str], int]:
-    table = {("node", v): i for i, v in enumerate(net.nodes)}
-    offset = len(net.nodes)
-    for e, pair in enumerate(net.edges):
-        table[("edge", edge_id(pair))] = offset + e
-    offset += len(net.edges)
-    for j in range(len(net.paths)):
-        table[("path", f"P{j}")] = offset + j
-    return table
+    return {key: i for i, key in enumerate(_component_keys(net))}
 
 
 # --- forecast CSV -------------------------------------------------------------------
@@ -139,8 +152,8 @@ def write_forecast(path: str, vectors, net: Network) -> None:
         cols = [np.asarray(getattr(v, "data", v), dtype=float) for v in vectors]
     else:
         cols = [np.asarray(getattr(vectors, "data", vectors), dtype=float)]
-    ids = component_ids(net)
-    n = len(ids)
+    keys = _component_keys(net)
+    n = len(keys)
     for c in cols:
         if c.shape != (n,):
             raise IoFailure(
@@ -150,16 +163,13 @@ def write_forecast(path: str, vectors, net: Network) -> None:
     header = "kind,id,value" if len(cols) == 1 else "kind,id," + ",".join(
         f"value{h}" for h in range(1, len(cols) + 1)
     )
-    kinds = (
-        ["node"] * len(net.nodes) + ["edge"] * len(net.edges) + ["path"] * len(net.paths)
-    )
     panel = np.column_stack(cols).tolist()
     try:
         with open(path, "w", newline="") as fh:
             fh.write(header + "\n")
             fh.writelines(
                 f"{kind},{_csv_field(ident)},{','.join(map(repr, row))}\n"
-                for kind, ident, row in zip(kinds, ids, panel)
+                for (kind, ident), row in zip(keys, panel)
             )
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
@@ -185,7 +195,9 @@ def read_forecast(path: str, net: Network) -> list[ForecastVector]:
     Raises:
         IoFailure: bad header, unknown/duplicate/missing components, or
             unparseable values.
+        DuplicateId: two edges of ``net`` share an id.
     """
+    table = _id_table(net)
     rows = _read_rows(path)
     if not rows:
         raise IoFailure(f"{path} is empty")
@@ -198,7 +210,6 @@ def read_forecast(path: str, net: Network) -> list[ForecastVector]:
             f"{path} row 1: header must be kind,id,value or kind,id,value1..valueH, "
             f"got {','.join(header)}"
         )
-    table = _id_table(net)
     n = net.index_map.n
     body = rows[1:]
     try:
@@ -273,11 +284,11 @@ def read_box(path: str, net: Network) -> BoxConstraints:
     Components may appear at most once; omitted components are unbounded.
     Empty cells (or inf/-inf) leave the corresponding side open.
     """
+    table = _id_table(net)
     rows = _read_rows(path)
     if not rows or rows[0] != ["kind", "id", "lower", "upper"]:
         got = ",".join(rows[0]) if rows else "(empty file)"
         raise IoFailure(f"{path} row 1: header must be kind,id,lower,upper, got {got}")
-    table = _id_table(net)
     n = net.index_map.n
     lower = np.full(n, -np.inf)
     upper = np.full(n, np.inf)

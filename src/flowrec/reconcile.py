@@ -118,24 +118,44 @@ class BoxConstraints:
 
 @dataclass
 class SolverStats:
-    """How the answer was produced: counts, timing, and certificates."""
+    """How the answer was produced: counts, timing, and certificates.
+
+    Only the relaxed solver fills ``max_violation`` (its band certificate)
+    and ``refine_rounds`` (the band patterns its Newton steps met).
+    """
 
     method: str
     iterations: int
     wall_time_s: float
     duality_gap: float | None = None
     gradient_norm: float | None = None
+    max_violation: float | None = None
+    refine_rounds: int | None = None
 
 
 @dataclass
 class ReconciliationResult:
-    """A coherent vector, the path values generating it, and provenance."""
+    """A reconciled vector, the path values generating it, and provenance.
+
+    The relaxed solver's edge values may sit up to epsilon off their path
+    sums; every other vector is coherent.
+    """
 
     y_tilde: ForecastVector
     b_tilde: np.ndarray
     loss_value: float
     coherence: CoherenceReport
     stats: SolverStats
+
+    # Read-only views of the stats: the benchmark's tracer reads both
+    # counts off the relaxed result.
+    @property
+    def iterations(self) -> int:
+        return self.stats.iterations
+
+    @property
+    def refine_rounds(self) -> int | None:
+        return self.stats.refine_rounds
 
 
 def huber_value(u: np.ndarray, delta: float) -> np.ndarray:

@@ -17,46 +17,22 @@ normal-equation operator of the edges outside their band,
 through S and the network's cached S^T without being formed (two sparse
 products per CG step), so a few steps end it once that band pattern
 settles.
+
+The answer is the :class:`ReconciliationResult` every reconciler returns;
+its coherence report's edge residuals are the band violations.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadParameter
 from .network import FlowAggregationMatrix
 from .numerics import minimize_semismooth_newton
-from .series import ForecastVector, _as_component_vector
-
-
-@dataclass
-class RelaxedResult:
-    """Outcome of a tolerance-relaxed reconciliation.
-
-    ``objective`` is the squared distance to the base forecasts over all
-    components.  ``violations`` holds |path sum - edge value| per edge,
-    never above epsilon (up to float rounding at the band boundary).
-    ``gradient_norm``, the stationarity certificate, is the norm of the
-    objective's gradient in the path values at the answer.  ``iterations``
-    counts Newton steps, ``refine_rounds`` the band patterns they met.
-    ``deviation_from_exact`` is filled when a reference exact solution was
-    passed in.
-    """
-
-    y_epsilon: ForecastVector
-    path_values: np.ndarray
-    epsilon: float
-    objective: float
-    violations: np.ndarray
-    max_violation: float
-    iterations: int
-    refine_rounds: int
-    gradient_norm: float
-    wall_time_s: float
-    deviation_from_exact: float | None = None
+from .reconcile import ReconciliationResult, SolverStats
+from .series import ForecastVector, _as_component_vector, check_coherence
 
 
 def reconcile_relaxed(
@@ -65,9 +41,13 @@ def reconcile_relaxed(
     epsilon: float,
     tol: float = 1e-10,
     max_iter: int = 200,
-    exact=None,
-) -> RelaxedResult:
+) -> ReconciliationResult:
     """Minimise the squared adjustment subject to per-edge slack epsilon.
+
+    ``y_tilde`` stacks the node values of ``b_tilde``, the base edge
+    forecasts clamped into their bands and ``b_tilde``; ``loss_value`` is
+    its squared distance to ``yhat``.  ``stats.max_violation``, the largest
+    |path sum - edge value|, is at most epsilon up to rounding.
 
     Args:
         yhat: base forecasts for every component.
@@ -76,8 +56,6 @@ def reconcile_relaxed(
         tol: declare convergence once the gradient norm in the path values
             is at most tol * (1 + objective).
         max_iter: Newton-step budget.
-        exact: optional reference vector (for example the exact
-            least-squares reconciliation) to report the deviation from.
 
     Raises:
         BadParameter: epsilon negative or not finite.
@@ -116,26 +94,23 @@ def reconcile_relaxed(
 
     edge_sums = agg.ep @ p
     e_vals = np.clip(y_edges, edge_sums - epsilon, edge_sums + epsilon)
-    violations = np.abs(edge_sums - e_vals)
     out = np.concatenate([agg.vp @ p, e_vals, p])
-    obj_full = float(np.sum((out - y) ** 2))
-    deviation = None
-    if exact is not None:
-        ref = _as_component_vector(exact, imap.n)
-        deviation = float(np.linalg.norm(out - ref))
-    return RelaxedResult(
-        y_epsilon=ForecastVector(out),
-        path_values=p,
-        epsilon=float(epsilon),
-        objective=obj_full,
-        violations=violations,
-        max_violation=float(violations.max()) if violations.size else 0.0,
+    coherence = check_coherence(out, agg)
+    stats = SolverStats(
+        method=f"relaxed:{epsilon}",
         iterations=res.iterations,
-        refine_rounds=len(patterns),
-        gradient_norm=res.gradient_norm,
         wall_time_s=time.perf_counter() - t0,
-        deviation_from_exact=deviation,
+        gradient_norm=res.gradient_norm,
+        max_violation=coherence.max_edge_residual,
+        refine_rounds=len(patterns),
+    )
+    return ReconciliationResult(
+        y_tilde=ForecastVector(out),
+        b_tilde=p,
+        loss_value=float(np.sum((out - y) ** 2)),
+        coherence=coherence,
+        stats=stats,
     )
 
 
-__all__ = ["RelaxedResult", "reconcile_relaxed"]
+__all__ = ["reconcile_relaxed"]

@@ -87,7 +87,7 @@ def test_criterion_1_flow_conservation(corpus):
             "l1": entry["l1"].y_tilde.data,
             "huber": entry["huber"].y_tilde.data,
             "bu": entry["bu"].data,
-            "relaxed": entry["relaxed"].y_epsilon.data,
+            "relaxed": entry["relaxed"].y_tilde.data,
         }
         for name, out in outputs.items():
             tol = _tol(out)
@@ -282,14 +282,14 @@ def test_criterion_5_relaxation_guarantees():
         objectives = []
         for eps in eps_grid:
             res = reconcile_relaxed(inst.y_base, inst.agg, eps)
-            assert res.max_violation <= eps + 1e-10
-            deviation = float(np.linalg.norm(res.y_epsilon.data - exact))
+            assert res.stats.max_violation <= eps + 1e-10
+            deviation = float(np.linalg.norm(res.y_tilde.data - exact))
             assert deviation <= np.sqrt(eps * m) * exact_norm + 1e-8
-            objectives.append(res.objective)
+            objectives.append(res.loss_value)
         for lo, hi in zip(objectives[1:], objectives[:-1]):
             assert lo <= hi + 1e-9 * (1.0 + abs(hi))
         tiny = reconcile_relaxed(inst.y_base, inst.agg, 1e-12)
-        assert float(np.max(np.abs(tiny.y_epsilon.data - exact))) <= 1e-6
+        assert float(np.max(np.abs(tiny.y_tilde.data - exact))) <= 1e-6
     print(
         "CRITERION 5 PASS — 100 instances x eps in {1e-3,1e-2,1e-1}: "
         "violations <= eps, deviation <= sqrt(eps*|E|)*||exact||, objective "

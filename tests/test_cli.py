@@ -7,14 +7,19 @@ the commands wrap.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flowrec
 from flowrec import (
     BoxConstraints,
     FlowAggregationMatrix,
+    Network,
     LossSpec,
     check_coherence,
     fileio,
@@ -200,12 +205,55 @@ class TestReconcile:
         assert rc == 0
         got = read_out(out, chain_net)[0]
         vec = fileio.read_forecast(fc_path, chain_net)[0]
-        expect = reconcile_relaxed(vec, chain_agg, 0.1).y_epsilon.data
+        expect = reconcile_relaxed(vec, chain_agg, 0.1).y_tilde.data
         assert np.array_equal(got, expect)
         diag = read_json(out + ".diagnostics.json")["horizons"][0]
         assert diag["method"] == "relaxed:0.1"
         assert diag["max_violation"] <= 0.1 + 1e-10
         assert diag["gradient_norm"] <= 1e-10 * (1.0 + diag["loss_value"])
+
+    @pytest.mark.parametrize(
+        "route, extra, certificates",
+        [
+            ("l2", [], {"gradient_norm"}),
+            ("l1", ["--loss", "l1"], {"duality_gap"}),
+            ("huber", ["--loss", "huber:1.0"], {"gradient_norm"}),
+            ("l2-box", ["--box"], {"gradient_norm"}),
+            ("relaxed", ["--epsilon", "0.1"], {"max_violation", "gradient_norm"}),
+        ],
+        ids=["l2", "l1", "huber", "l2-box", "relaxed"],
+    )
+    def test_sidecar_keys_per_route(self, tmp_path, route, extra, certificates):
+        # Every horizon carries the same core keys plus exactly the
+        # certificates its solver produces, none of them null.
+        inst = random_instance(nodes=12, seed=77)
+        cols = [inst.y_base.data, inst.y_base.data * 1.2]
+        if route != "l2":
+            cols = cols[:1]
+        net_path, fc_path = stage(tmp_path, inst.network, cols)
+        if extra == ["--box"]:
+            box_path = tmp_path / "box.csv"
+            box_path.write_text("kind,id,lower,upper\npath,P0,,1.0\n")
+            extra = ["--box", str(box_path)]
+        out = str(tmp_path / "rec.csv")
+        rc = main(["reconcile", "--network", net_path, "--forecast", fc_path,
+                   *extra, "--out", out])
+        assert rc == 0
+        horizons = read_json(out + ".diagnostics.json")["horizons"]
+        assert len(horizons) == len(cols)
+        core = {
+            "method", "loss_value", "iterations", "wall_time_s", "horizon",
+            "pre_max_node_residual", "pre_max_edge_residual",
+            "post_max_node_residual", "post_max_edge_residual", "coherent",
+        }
+        for h, diag in enumerate(horizons, start=1):
+            assert set(diag) == core | certificates
+            assert all(value is not None for value in diag.values())
+            assert diag["horizon"] == h
+            if route == "relaxed":
+                assert diag["max_violation"] == diag["post_max_edge_residual"]
+                # The clamp puts edges on the band boundary, up to rounding.
+                assert diag["max_violation"] <= 0.1 + 1e-10
 
 
 class TestReconcileErrors:
@@ -237,6 +285,18 @@ class TestReconcileErrors:
         )
         assert rc == 2
         assert "row 3" in capsys.readouterr().err
+
+    def test_colliding_edge_ids_exit_2(self, tmp_path, capsys):
+        net = Network(["a->b", "c", "a", "b->c"], [("a->b", "c"), ("a", "b->c")], [(0,), (1,)])
+        net_path = tmp_path / "net.json"
+        fileio.write_network(net, str(net_path))
+        rc = main(
+            ["reconcile", "--network", str(net_path), "--forecast", str(tmp_path / "f.csv"),
+             "--out", str(tmp_path / "o.csv")]
+        )
+        assert rc == 2
+        assert "a->b->c" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_unknown_loss_name(self, tmp_path, chain_net, capsys):
         net_path, fc_path = stage(tmp_path, chain_net, CHAIN_BASE)
@@ -490,3 +550,21 @@ def test_console_script_points_at_main():
         ep for ep in dist.entry_points if ep.group == "console_scripts" and ep.name == "flowrec"
     ]
     assert [ep.value for ep in installed] == [declared.value]
+
+
+def test_importing_the_cli_loads_no_scipy_solvers():
+    # HiGHS and scipy's sparse solvers are imported lazily, which keeps
+    # the start-up of every flowrec command short.
+    src = str(Path(flowrec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    code = (
+        "import sys, flowrec.cli; "
+        "print(','.join(m for m in ('scipy.optimize', 'scipy.sparse.linalg') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""

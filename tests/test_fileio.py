@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from flowrec import (
+    DuplicateId,
     ForecastVector,
     IoFailure,
     Network,
@@ -105,6 +106,23 @@ class TestComponentIds:
             component_index(chain_net, "path", "P9")
         with pytest.raises(UnknownComponent):
             component_index(chain_net, "blob", "s")
+
+    def test_colliding_edge_ids_are_refused_before_any_file_is_touched(self, tmp_path):
+        # Node names may contain "->": both edges spell the id a->b->c.
+        net = Network(["a->b", "c", "a", "b->c"], [("a->b", "c"), ("a", "b->c")], [(0,), (1,)])
+        both = r"\('a->b', 'c'\) and \('a', 'b->c'\)"
+        absent = tmp_path / "absent.csv"
+        with pytest.raises(DuplicateId, match=both):
+            write_forecast(str(absent), np.zeros(8), net)
+        assert not absent.exists()
+        # The file does not exist, so reaching it would raise IoFailure.
+        for read in (read_forecast, read_weights, read_box):
+            with pytest.raises(DuplicateId, match=both):
+                read(str(absent), net)
+        with pytest.raises(DuplicateId, match=both):
+            component_ids(net)
+        with pytest.raises(DuplicateId, match=both):
+            component_index(net, "edge", "a->b->c")
 
 
 class TestForecastCsv:

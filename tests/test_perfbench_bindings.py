@@ -11,6 +11,7 @@ from pathlib import Path
 
 import flowrec.cli  # noqa: F401  (loads every flowrec module the tracer patches)
 import flowrec.reconcile
+import flowrec.relaxed
 
 from conftest import random_instance
 
@@ -40,3 +41,19 @@ def test_tracer_installs_and_uninstalls():
     assert metrics["reconcile.calls"] == 1
     assert metrics["numerics.cg_iters"] >= 1
     assert metrics["numerics.cg_s"] > 0.0
+
+
+def test_tracer_reads_the_relaxed_counts():
+    # The tracer counts Newton steps and band patterns off the relaxed
+    # result as ``result.iterations`` and ``result.refine_rounds``.
+    tracer_module = load_tracer()
+    inst = random_instance(nodes=12, seed=66)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        flowrec.relaxed.reconcile_relaxed(inst.y_base, inst.agg, 0.01)
+    finally:
+        tracer.uninstall()
+    metrics, _, _ = tracer_module.layer_metrics(tracer.spans)
+    assert metrics["relaxed.iterations"] >= 1
+    assert metrics["relaxed.refine_rounds"] >= 1

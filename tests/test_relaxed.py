@@ -43,24 +43,22 @@ class TestRelaxed:
         y = parallel_agg.aggregate(np.array([3.0, 5.0]))
         for eps in (0.0, 1e-3, 1.0):
             result = reconcile_relaxed(y, parallel_agg, eps)
-            assert result.y_epsilon.data == pytest.approx(y, abs=1e-9)
-            assert result.objective <= 1e-15
-            assert result.max_violation <= eps + 1e-12
+            assert result.y_tilde.data == pytest.approx(y, abs=1e-9)
+            assert result.loss_value <= 1e-15
+            assert result.stats.max_violation <= eps + 1e-12
 
     def test_zero_tolerance_reproduces_least_squares(self):
         inst = random_instance(nodes=10, seed=5)
         exact = reconcile_l2(inst.y_base.data, inst.agg)
-        result = reconcile_relaxed(inst.y_base.data, inst.agg, 0.0, exact=exact.y_tilde.data)
-        assert result.deviation_from_exact <= 1e-9
-        assert result.objective == pytest.approx(exact.loss_value, rel=1e-9)
+        result = reconcile_relaxed(inst.y_base.data, inst.agg, 0.0)
+        assert np.linalg.norm(result.y_tilde.data - exact.y_tilde.data) <= 1e-9
+        assert result.loss_value == pytest.approx(exact.loss_value, rel=1e-9)
 
     def test_tiny_tolerance_stays_close_to_exact(self):
         inst = random_instance(nodes=10, seed=6)
         exact = reconcile_l2(inst.y_base.data, inst.agg)
-        result = reconcile_relaxed(
-            inst.y_base.data, inst.agg, 1e-12, exact=exact.y_tilde.data
-        )
-        assert result.deviation_from_exact <= 1e-6
+        result = reconcile_relaxed(inst.y_base.data, inst.agg, 1e-12)
+        assert np.linalg.norm(result.y_tilde.data - exact.y_tilde.data) <= 1e-6
 
     def test_in_band_edge_forecast_is_kept_at_zero_cost(self, chain_agg):
         # The first edge reads 4.05 against path flow 4; with a band of
@@ -68,9 +66,9 @@ class TestRelaxed:
         y = chain_agg.aggregate(np.array([4.0]))
         y[3] = 4.05
         result = reconcile_relaxed(y, chain_agg, 0.1)
-        assert result.objective <= 1e-15
-        assert result.y_epsilon.data == pytest.approx(y, abs=1e-9)
-        assert result.y_epsilon.data[3] == pytest.approx(4.05)
+        assert result.loss_value <= 1e-15
+        assert result.y_tilde.data == pytest.approx(y, abs=1e-9)
+        assert result.y_tilde.data[3] == pytest.approx(4.05)
 
     def test_out_of_band_edge_clamps_to_the_boundary(self, chain_agg):
         # Edge reads 4.5, band width 0.1: stationarity of
@@ -79,10 +77,10 @@ class TestRelaxed:
         y = chain_agg.aggregate(np.array([4.0]))
         y[3] = 4.5
         result = reconcile_relaxed(y, chain_agg, 0.1)
-        assert result.path_values == pytest.approx([4.08], abs=1e-8)
-        assert result.objective == pytest.approx(0.128, abs=1e-8)
-        assert result.max_violation <= 0.1 + 1e-12
-        assert result.max_violation == pytest.approx(0.1, abs=1e-9)
+        assert result.b_tilde == pytest.approx([4.08], abs=1e-8)
+        assert result.loss_value == pytest.approx(0.128, abs=1e-8)
+        assert result.stats.max_violation <= 0.1 + 1e-12
+        assert result.stats.max_violation == pytest.approx(0.1, abs=1e-9)
 
     def test_out_of_band_optimum_against_grid_scan(self, chain_agg):
         y = chain_agg.aggregate(np.array([4.0]))
@@ -100,23 +98,23 @@ class TestRelaxed:
         )
         best = grid[np.argmin(objective)]
         result = reconcile_relaxed(y, chain_agg, eps)
-        assert abs(result.path_values[0] - best) <= 1e-5
+        assert abs(result.b_tilde[0] - best) <= 1e-5
 
     def test_violations_respect_the_band_on_random_instances(self):
         for seed, eps in enumerate(EPSILONS):
             inst = random_instance(nodes=12, seed=seed + 200)
             result = reconcile_relaxed(inst.y_base.data, inst.agg, eps)
-            assert result.max_violation <= eps + 1e-10
-            assert result.violations.shape == (len(inst.network.edges),)
+            assert result.stats.max_violation <= eps + 1e-10
+            assert result.coherence.edge_residuals.shape == (len(inst.network.edges),)
             # Node values are rebuilt from path values, so node residuals
             # vanish no matter the band width.
             imap = inst.agg.index_map
-            nodes = result.y_epsilon.data[imap.node_slice]
-            paths = result.y_epsilon.data[imap.path_slice]
+            nodes = result.y_tilde.data[imap.node_slice]
+            paths = result.y_tilde.data[imap.path_slice]
             assert nodes == pytest.approx(inst.agg.vp @ paths, abs=1e-12)
-            grad = relaxed_gradient(inst.agg, inst.y_base, eps, result.path_values)
-            assert float(np.linalg.norm(grad)) <= 1e-10 * (1.0 + result.objective)
-            assert result.gradient_norm <= 1e-10 * (1.0 + result.objective)
+            grad = relaxed_gradient(inst.agg, inst.y_base, eps, result.b_tilde)
+            assert float(np.linalg.norm(grad)) <= 1e-10 * (1.0 + result.loss_value)
+            assert result.stats.gradient_norm <= 1e-10 * (1.0 + result.loss_value)
 
     def test_deviation_bound_on_random_instances(self):
         for seed in range(4):
@@ -125,10 +123,9 @@ class TestRelaxed:
             norm_exact = float(np.linalg.norm(exact.y_tilde.data))
             m = len(inst.network.edges)
             for eps in EPSILONS:
-                result = reconcile_relaxed(
-                    inst.y_base.data, inst.agg, eps, exact=exact.y_tilde.data
-                )
-                assert result.deviation_from_exact <= np.sqrt(eps * m) * norm_exact + 1e-8
+                result = reconcile_relaxed(inst.y_base.data, inst.agg, eps)
+                deviation = np.linalg.norm(result.y_tilde.data - exact.y_tilde.data)
+                assert deviation <= np.sqrt(eps * m) * norm_exact + 1e-8
 
     def test_objective_never_increases_with_the_band_width(self):
         inst = random_instance(nodes=12, seed=220)
@@ -137,10 +134,10 @@ class TestRelaxed:
         for eps in (0.0, 1e-3, 1e-2, 1e-1, 1.0):
             result = reconcile_relaxed(inst.y_base.data, inst.agg, eps)
             # Wider bands only enlarge the feasible set.
-            assert result.objective <= exact.loss_value + 1e-9
+            assert result.loss_value <= exact.loss_value + 1e-9
             if previous is not None:
-                assert result.objective <= previous + 1e-9
-            previous = result.objective
+                assert result.loss_value <= previous + 1e-9
+            previous = result.loss_value
 
     def test_negative_or_nonfinite_band_rejected(self, chain_agg):
         y = chain_agg.aggregate(np.array([4.0]))
@@ -160,9 +157,9 @@ class TestRelaxed:
             cfg = GeneratorConfig(nodes=30, density=0.2, seed=seed, instances=1)
             inst = generate_instance(cfg, 0)
             result = reconcile_relaxed(inst.y_base, inst.agg, 0.01)
-            assert result.iterations <= 20, (seed, result.iterations)
-            grad = relaxed_gradient(inst.agg, inst.y_base, 0.01, result.path_values)
+            assert result.stats.iterations <= 20, (seed, result.stats.iterations)
+            grad = relaxed_gradient(inst.agg, inst.y_base, 0.01, result.b_tilde)
             norm = float(np.linalg.norm(grad))
-            assert norm <= 1e-10 * (1.0 + result.objective), (seed, norm)
-            assert result.gradient_norm == pytest.approx(norm, rel=1e-6, abs=1e-11)
-            assert result.refine_rounds >= 1
+            assert norm <= 1e-10 * (1.0 + result.loss_value), (seed, norm)
+            assert result.stats.gradient_norm == pytest.approx(norm, rel=1e-6, abs=1e-11)
+            assert result.stats.refine_rounds >= 1
