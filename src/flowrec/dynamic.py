@@ -3,18 +3,23 @@
 Three situations are covered:
 
 * a new edge opens and flow must be routed onto paths that use it
-  (:func:`add_edge_update`; the value update grows with the affected
-  paths, its validation with the network);
+  (:func:`add_edge_update`);
 * a single base forecast component changes and we want a constant-time
   check of whether the old reconciliation can be kept
   (:func:`check_data_update`, :func:`apply_monotone_sequence`; exact for
   l1, not for l2);
 * an edge disappears and its flow has to be rerouted along surviving
   routes (:func:`remove_edge`).
+
+Both edge edits derive the updated network and its aggregation operator
+from the current ones (``Network._edit``) instead of rebuilding them: the
+Python work grows with the affected paths, plus O(nnz) array work on the
+operator and one O(nnz) coherence pass on the prior vector.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,18 +28,16 @@ import numpy as np
 
 from .errors import (
     BadParameter,
-    BrokenPath,
     DanglingEdge,
     Disconnected,
-    DuplicateId,
     EdgeExists,
     NoAffectedPaths,
     UnknownComponent,
     UnknownEdge,
     ValidationError,
 )
-from .network import FlowAggregationMatrix, IndexMap, Network
-from .series import ForecastVector, check_coherence, _as_component_vector
+from .network import IndexMap, Network
+from .series import ForecastVector, check_coherence, _as_component_vector, _vector_like
 
 
 # --- edge addition ------------------------------------------------------------
@@ -58,34 +61,13 @@ class EdgeAdditionResult:
 
 
 def _require_coherent(y: np.ndarray, net: Network) -> None:
-    report = check_coherence(y, FlowAggregationMatrix.from_network(net))
+    report = check_coherence(y, net.aggregation)
     if not report.coherent:
         raise ValidationError(
             "prior vector is not coherent "
             f"(max node residual {report.max_node_residual:.3e}, "
             f"max edge residual {report.max_edge_residual:.3e})"
         )
-
-
-def _validate_new_path(
-    net: Network, edges: tuple[tuple[str, str], ...], path: tuple[int, ...], label: str
-) -> None:
-    if len(path) == 0:
-        raise BrokenPath(f"{label} is empty")
-    for e in path:
-        if not 0 <= e < len(edges):
-            raise BrokenPath(f"{label} uses edge index {e}, valid range is [0, {len(edges)})")
-    visited = [edges[path[0]][0]]
-    for k, e in enumerate(path):
-        tail, head = edges[e]
-        if tail != visited[-1]:
-            raise BrokenPath(
-                f"{label} breaks at position {k}: edge {e} starts at {tail!r}, "
-                f"previous edge ends at {visited[-1]!r}"
-            )
-        if head in visited:
-            raise BrokenPath(f"{label} revisits node {head!r}")
-        visited.append(head)
 
 
 def add_edge_update(
@@ -117,9 +99,10 @@ def add_edge_update(
         initial_values: starting value per new path (default all zero, the
             natural choice for genuinely new routes).
 
-    ``y_tilde`` must be coherent for ``net`` (else :class:`ValidationError`),
-    and the updated network goes through the validating :class:`Network`
-    constructor.
+    ``y_tilde`` must be coherent for ``net`` (else :class:`ValidationError`).
+    The updated network and its operator are derived from ``net``'s; only
+    the new paths are validated, by the constructor's rules.  The returned
+    vector keeps the horizon and origin of ``y_tilde``.
     """
     imap = net.index_map
     y = _as_component_vector(y_tilde, imap.n)
@@ -131,17 +114,14 @@ def add_edge_update(
     if not np.isfinite(edge_forecast):
         raise BadParameter("edge forecast must be finite")
 
-    paths = [tuple(int(e) for e in p) for p in new_paths]
+    paths = tuple(tuple(int(e) for e in p) for p in new_paths)
     if len(paths) == 0:
         raise NoAffectedPaths("adding an edge needs at least one path using it")
-    if len(set(paths)) != len(paths):
-        raise DuplicateId("two new paths share the same edge sequence")
     new_edge_idx = len(net.edges)
-    edges = net.edges + ((tail, head),)
     for i, p in enumerate(paths):
         if new_edge_idx not in p:
             raise BadParameter(f"new path {i} does not use the added edge")
-        _validate_new_path(net, edges, p, f"new path {i}")
+    updated = net._edit(add=(tail, head), new_paths=paths)
 
     k = len(paths)
     if initial_values is None:
@@ -170,22 +150,16 @@ def add_edge_update(
     path_block[: imap.n_paths] = y[imap.path_slice]
     path_block[imap.n_paths :] = values
 
-    node_index = net.node_index
-    for p, val in zip(paths, values):
+    for p, nodes, val in zip(paths, updated.path_nodes[imap.n_paths :], values):
         edge_block[list(p)] += val
-        nodes = [node_index[edges[p[0]][0]]]
-        nodes.extend(node_index[edges[e][1]] for e in p)
-        node_block[nodes] += val
+        node_block[list(nodes)] += val
 
-    updated = Network(net.nodes, edges, net.paths + tuple(paths), net.roles)
-
-    affected = tuple(range(imap.n_paths, imap.n_paths + k))
     return EdgeAdditionResult(
         network=updated,
-        y_tilde=ForecastVector(out),
+        y_tilde=_vector_like(out, y_tilde),
         delta=delta,
         per_path_adjustment=adjustment,
-        affected_paths=affected,
+        affected_paths=tuple(range(imap.n_paths, imap.n_paths + k)),
     )
 
 
@@ -349,7 +323,11 @@ def remove_edge(net: Network, y_tilde, edge) -> tuple[RemovalPlan, Network, Fore
     between the same origin and destination: onto an existing path when one
     matches that route, otherwise onto a newly created path (several
     affected paths can land on the same route; their flows sum).  Affected
-    paths disappear from the path list and all aggregates are rebuilt.
+    paths disappear from the path list; surviving paths keep their order
+    and new routes follow them.  The updated network and its operator are
+    derived from ``net``'s, and the returned vector, which keeps the
+    horizon and origin of ``y_tilde``, is that operator applied to the
+    updated path values.
 
     Args:
         net: current network.
@@ -404,31 +382,27 @@ def remove_edge(net: Network, y_tilde, edge) -> tuple[RemovalPlan, Network, Fore
         mass[phi[q]] = mass.get(phi[q], 0.0) + float(path_vals[q])
 
     old_to_new_edge = lambda e: e if e < e_star else e - 1
-    affected_set = set(affected)
-    surviving = [j for j in range(imap.n_paths) if j not in affected_set]
-    new_paths: list[tuple[int, ...]] = []
-    new_values: list[float] = []
+    n_kept = imap.n_paths - len(affected)
+    values = np.delete(path_vals, list(affected))
     route_of_path: dict[tuple[int, ...], int] = {}
-    for j in surviving:
-        route_of_path[net.paths[j]] = len(new_paths)
-        new_paths.append(tuple(old_to_new_edge(e) for e in net.paths[j]))
-        new_values.append(float(path_vals[j]))
-
+    new_routes: list[tuple[int, ...]] = []
+    new_flows: list[float] = []
     for route, flow in mass.items():
-        if route in route_of_path:
-            new_values[route_of_path[route]] += flow
+        # A surviving path equal to the route uses its first edge.
+        match = [j for j in net.paths_through("edge", route[0]) if net.paths[j] == route]
+        if match:
+            route_of_path[route] = match[0] - bisect(affected, match[0])
+            values[route_of_path[route]] += flow
         elif flow != 0.0:
-            route_of_path[route] = len(new_paths)
-            new_paths.append(tuple(old_to_new_edge(e) for e in route))
-            new_values.append(flow)
+            route_of_path[route] = n_kept + len(new_routes)
+            new_routes.append(tuple(old_to_new_edge(e) for e in route))
+            new_flows.append(flow)
     target_paths = {
         q: route_of_path[phi[q]] for q in affected if phi[q] in route_of_path
     }
 
-    edges = tuple(e for i, e in enumerate(net.edges) if i != e_star)
-    updated = Network(net.nodes, edges, tuple(new_paths), net.roles)
-    agg = FlowAggregationMatrix.from_network(updated)
-    out = agg.aggregate(np.array(new_values, dtype=float))
+    updated = net._edit(remove=e_star, new_paths=tuple(new_routes))
+    out = updated.aggregation.aggregate(np.concatenate([values, new_flows]))
 
     squared_change = float(sum(m * m for m in mass.values()))
     total = float(sum(abs(path_vals[q]) for q in affected))
@@ -440,4 +414,4 @@ def remove_edge(net: Network, y_tilde, edge) -> tuple[RemovalPlan, Network, Fore
         squared_change=squared_change,
         bound=total * total,
     )
-    return plan, updated, ForecastVector(out)
+    return plan, updated, _vector_like(out, y_tilde)

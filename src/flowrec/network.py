@@ -10,13 +10,17 @@ A vector is *coherent* when every node value equals the sum of the path
 values routed through that node and every edge value equals the sum of the
 path values using that edge.  The :class:`FlowAggregationMatrix` materialises
 that linear map sparsely; multiplying it by a vector of path values produces
-the full coherent stack.
+the full coherent stack.  A network owns its operator (:attr:`Network.aggregation`):
+it is built once, array-at-a-time, and shared by every caller, so it is
+read-only.  Local edits (:meth:`Network._edit`) derive the edited network and
+its operator from the parent's instead of rebuilding either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,6 +102,12 @@ class Network:
         roles: optional per-node tag, one of ``source``, ``sink``,
             ``intermediate``.  Nodes may be left untagged.
 
+    The constructor is the only full build: it validates everything and
+    derives the lookup tables.  The aggregation operator is built on first
+    use and kept (:attr:`aggregation`).  Treat a network and its operator
+    as immutable: the operator is shared by every caller and by the
+    networks that edits derive from this one.
+
     Raises:
         DuplicateId, DanglingEdge, BrokenPath, ValidationError.
     """
@@ -134,7 +144,7 @@ class Network:
         if len(set(self.edges)) != len(self.edges):
             raise DuplicateId("duplicate edge (tail, head) pair")
         for j, path in enumerate(self.paths):
-            self._validate_path(j, path)
+            self._validate_path(path, f"path {j}")
         if len(set(self.paths)) != len(self.paths):
             raise DuplicateId("two paths share the same edge sequence")
         for name, role in self.roles.items():
@@ -143,23 +153,24 @@ class Network:
             if role not in NODE_ROLES:
                 raise ValidationError(f"role {role!r} for node {name!r} not in {NODE_ROLES}")
 
-    def _validate_path(self, j: int, path: tuple[int, ...]) -> None:
+    def _validate_path(self, path: tuple[int, ...], label: str) -> None:
+        """Check one path against this network's edges; ``label`` names it in errors."""
         if len(path) == 0:
-            raise BrokenPath(f"path {j} is empty")
+            raise BrokenPath(f"{label} is empty")
         m = len(self.edges)
         for e in path:
             if not 0 <= e < m:
-                raise BrokenPath(f"path {j} uses edge index {e}, valid range is [0, {m})")
+                raise BrokenPath(f"{label} uses edge index {e}, valid range is [0, {m})")
         visited = [self.edges[path[0]][0]]
         for k, e in enumerate(path):
             tail, head = self.edges[e]
             if tail != visited[-1]:
                 raise BrokenPath(
-                    f"path {j} breaks at position {k}: edge {e} starts at {tail!r}, "
+                    f"{label} breaks at position {k}: edge {e} starts at {tail!r}, "
                     f"previous edge ends at {visited[-1]!r}"
                 )
             if head in visited:
-                raise BrokenPath(f"path {j} revisits node {head!r}")
+                raise BrokenPath(f"{label} revisits node {head!r}")
             visited.append(head)
 
     # -- derived structure -----------------------------------------------------
@@ -170,15 +181,80 @@ class Network:
         self.path_nodes: tuple[tuple[int, ...], ...] = tuple(
             self._path_node_indices(p) for p in self.paths
         )
-        node_paths: list[list[int]] = [[] for _ in self.nodes]
-        edge_paths: list[list[int]] = [[] for _ in self.edges]
-        for j, path in enumerate(self.paths):
-            for e in path:
-                edge_paths[e].append(j)
-            for v in self.path_nodes[j]:
-                node_paths[v].append(j)
-        self._node_paths = tuple(tuple(ps) for ps in node_paths)
-        self._edge_paths = tuple(tuple(ps) for ps in edge_paths)
+
+    @cached_property
+    def aggregation(self) -> "FlowAggregationMatrix":
+        """The network's aggregation operator, built on first use and kept.
+
+        Shared by every caller (:meth:`FlowAggregationMatrix.from_network`
+        returns it), so read-only.
+        """
+        vp = _incidence(*_columns(self.path_nodes), len(self.nodes))
+        ep = _incidence(*_columns(self.paths), len(self.edges))
+        return FlowAggregationMatrix(vp, ep, self.index_map)
+
+    def _edit(
+        self,
+        remove: int | None = None,
+        add: tuple[str, str] | None = None,
+        new_paths: tuple[tuple[int, ...], ...] = (),
+    ) -> "Network":
+        """This network with edge ``remove`` and every path through it
+        deleted, edge ``add`` appended, and ``new_paths`` appended after the
+        surviving paths.
+
+        ``new_paths`` are in the edited edge numbering: edges after
+        ``remove`` move down by one and ``add`` takes the last index.  The
+        caller checks ``remove`` and ``add`` themselves; the new paths are
+        validated here, by the same rules as in the constructor, and must
+        not repeat a path.  Node indices and the surviving paths' node
+        sequences are reused, and the operator is derived from this one's:
+        the surviving columns are kept, the removed edge's row (empty once
+        its paths are gone) is dropped, and columns for the new paths are
+        appended.  The Python work is one pass over the new paths, one
+        over the surviving paths (renumbering, duplicate check) and one
+        over the edges after ``remove``; the operator costs O(nnz)
+        vectorised work, with no per-entry Python loop.
+
+        Returns:
+            the edited network, with :attr:`aggregation` already set.
+        """
+        parent = self.aggregation
+        m = len(self.edges)
+        keep = np.ones(len(self.paths), dtype=bool)
+        edges, paths, path_nodes = self.edges, self.paths, self.path_nodes
+        edge_index = dict(self.edge_index)
+        start = m
+        if remove is not None:
+            keep[list(self.paths_through("edge", remove))] = False
+            edges = edges[:remove] + edges[remove + 1 :]
+            del edge_index[self.edges[remove]]
+            shift = [*range(remove), -1, *range(remove, m - 1)].__getitem__
+            paths = tuple(tuple(map(shift, p)) for p in compress(paths, keep))
+            path_nodes = tuple(compress(path_nodes, keep))
+            start = remove
+        if add is not None:
+            edges = edges + (add,)
+        edge_index.update(zip(edges[start:], range(start, len(edges))))
+
+        net = Network.__new__(Network)
+        net.nodes, net.edges, net.roles = self.nodes, edges, dict(self.roles)
+        net.node_index, net.edge_index = self.node_index, edge_index
+        existing = set(paths)
+        for i, p in enumerate(new_paths):
+            net._validate_path(p, f"new path {i}")
+            if p in existing:
+                raise DuplicateId(f"new path {i} repeats a path of the network")
+            existing.add(p)
+        net.paths = paths + new_paths
+        new_nodes = tuple(net._path_node_indices(p) for p in new_paths)
+        net.path_nodes = path_nodes + new_nodes
+
+        columns = np.flatnonzero(keep)
+        vp = _extend(parent.vp, columns, None, len(net.nodes), *_columns(new_nodes))
+        ep = _extend(parent.ep, columns, remove, len(edges), *_columns(new_paths))
+        net.aggregation = FlowAggregationMatrix(vp, ep, net.index_map)
+        return net
 
     def _path_node_indices(self, path: tuple[int, ...]) -> tuple[int, ...]:
         seq = [self.node_index[self.edges[path[0]][0]]]
@@ -202,19 +278,22 @@ class Network:
     def paths_through(self, kind: str, index: int) -> tuple[int, ...]:
         """All path indices that traverse the given node or use the given edge.
 
+        Read off the row of the aggregation operator, in increasing order.
+
         Args:
             kind: ``"node"`` or ``"edge"``.
             index: local index within that block.
         """
         if kind == "node":
-            table = self._node_paths
+            block = self.aggregation.vp
         elif kind == "edge":
-            table = self._edge_paths
+            block = self.aggregation.ep
         else:
             raise UnknownIndex(f"paths_through expects kind node or edge, got {kind!r}")
-        if not 0 <= index < len(table):
-            raise UnknownIndex(f"{kind} index {index} out of range [0, {len(table)})")
-        return table[index]
+        rows = block.shape[0]
+        if not 0 <= index < rows:
+            raise UnknownIndex(f"{kind} index {index} out of range [0, {rows})")
+        return tuple(block.indices[block.indptr[index] : block.indptr[index + 1]].tolist())
 
     def out_edges(self, node: int) -> tuple[int, ...]:
         """Edge indices leaving ``node``, in edge order."""
@@ -232,8 +311,48 @@ class Network:
         )
 
 
+def _columns(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Index sequences as one flat array and a pointer: sequence j is
+    flat[ptr[j]:ptr[j + 1]]."""
+    ptr = np.zeros(len(seqs) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs)), out=ptr[1:])
+    return np.fromiter(chain.from_iterable(seqs), dtype=np.intp, count=int(ptr[-1])), ptr
+
+
+def _incidence(rows: np.ndarray, ptr: np.ndarray, n_rows: int) -> sp.csr_matrix:
+    """0/1 CSR matrix whose column j has its ones in rows[ptr[j]:ptr[j + 1]].
+
+    Rows repeat in no column (paths are simple), and the CSC to CSR
+    conversion sorts each row's column indices.
+    """
+    data = np.ones(rows.shape[0])
+    return sp.csc_matrix((data, rows, ptr), shape=(n_rows, ptr.shape[0] - 1)).tocsr()
+
+
+def _extend(
+    block: sp.csr_matrix,
+    columns: np.ndarray,
+    removed_row: int | None,
+    n_rows: int,
+    new_rows: np.ndarray,
+    new_ptr: np.ndarray,
+) -> sp.csr_matrix:
+    """``block`` restricted to ``columns``, with the empty row ``removed_row``
+    dropped, and with the columns ``new_rows``/``new_ptr`` appended."""
+    kept = block.tocsc()[:, columns]
+    rows = kept.indices
+    if removed_row is not None:
+        rows = rows - (rows > removed_row)
+    ptr = np.concatenate([kept.indptr, kept.indptr[-1] + new_ptr[1:]])
+    return _incidence(np.concatenate([rows, new_rows]), ptr, n_rows)
+
+
 class FlowAggregationMatrix:
     """Sparse map from path values to the full [nodes; edges; paths] stack.
+
+    A network owns its operator: :meth:`from_network` returns the network's
+    :attr:`Network.aggregation`, so every caller shares one object.
+    Treat it as read-only; write into no matrix it holds.
 
     Attributes:
         vp: CSR matrix, shape (n_nodes, n_paths).  vp[v, j] is 1 when path j
@@ -257,25 +376,8 @@ class FlowAggregationMatrix:
 
     @classmethod
     def from_network(cls, net: Network) -> "FlowAggregationMatrix":
-        imap = net.index_map
-        v_rows, v_cols = [], []
-        e_rows, e_cols = [], []
-        for j, path in enumerate(net.paths):
-            for v in net.path_nodes[j]:
-                v_rows.append(v)
-                v_cols.append(j)
-            for e in path:
-                e_rows.append(e)
-                e_cols.append(j)
-        shape_v = (imap.n_nodes, imap.n_paths)
-        shape_e = (imap.n_edges, imap.n_paths)
-        vp = sp.csr_matrix(
-            (np.ones(len(v_rows)), (v_rows, v_cols)), shape=shape_v
-        )
-        ep = sp.csr_matrix(
-            (np.ones(len(e_rows)), (e_rows, e_cols)), shape=shape_e
-        )
-        return cls(vp, ep, imap)
+        """The network's own operator, :attr:`Network.aggregation`."""
+        return net.aggregation
 
     @cached_property
     def matrix_t(self) -> sp.csr_matrix:

@@ -48,7 +48,13 @@ from .numerics import (
     solve_lp,
     solve_spd_with_info,
 )
-from .series import CoherenceReport, ForecastVector, check_coherence, _as_component_vector
+from .series import (
+    CoherenceReport,
+    ForecastVector,
+    check_coherence,
+    _as_component_vector,
+    _vector_like,
+)
 
 LOSS_KINDS = ("l2", "l1", "huber", "custom")
 
@@ -195,11 +201,7 @@ def _package(
 ) -> ReconciliationResult:
     y = agg.matrix @ b
     return ReconciliationResult(
-        y_tilde=ForecastVector(
-            y,
-            horizon=getattr(like, "horizon", 1),
-            origin=getattr(like, "origin", None),
-        ),
+        y_tilde=_vector_like(y, like),
         b_tilde=b,
         loss_value=evaluate_loss(loss, yhat, y),
         coherence=check_coherence(y, agg),

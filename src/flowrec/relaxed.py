@@ -32,7 +32,7 @@ from .errors import BadParameter
 from .network import FlowAggregationMatrix
 from .numerics import minimize_semismooth_newton
 from .reconcile import ReconciliationResult, SolverStats
-from .series import ForecastVector, _as_component_vector, check_coherence
+from .series import _as_component_vector, _vector_like, check_coherence
 
 
 def reconcile_relaxed(
@@ -105,7 +105,7 @@ def reconcile_relaxed(
         refine_rounds=len(patterns),
     )
     return ReconciliationResult(
-        y_tilde=ForecastVector(out),
+        y_tilde=_vector_like(out, yhat),
         b_tilde=p,
         loss_value=float(np.sum((out - y) ** 2)),
         coherence=coherence,

@@ -26,6 +26,14 @@ def _as_component_vector(values, n: int) -> np.ndarray:
     return data
 
 
+def _vector_like(data, like) -> "ForecastVector":
+    """``data`` as a ForecastVector with the horizon and origin of ``like``
+    (1 and None when ``like`` is a bare array)."""
+    return ForecastVector(
+        data, horizon=getattr(like, "horizon", 1), origin=getattr(like, "origin", None)
+    )
+
+
 @dataclass
 class ForecastVector:
     """One value per network component.

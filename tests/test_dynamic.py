@@ -1,5 +1,9 @@
 """Tests for local updates: edge addition, data-update checks, edge removal."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,7 @@ from flowrec import (
     DuplicateId,
     EdgeExists,
     FlowAggregationMatrix,
+    ForecastVector,
     Network,
     NoAffectedPaths,
     UnknownComponent,
@@ -130,6 +135,27 @@ class TestAddEdge:
     def test_disconnected_edge_sequence_rejected(self, fan_net, fan_vector):
         with pytest.raises(BrokenPath):
             add_edge_update(fan_net, fan_vector, ("x", "t"), 9.0, [(1, 3, 6)])
+
+    def test_path_errors_name_the_new_path(self, fan_net, fan_vector):
+        cases = [
+            ([(1, 3, 6)], r"^new path 0 breaks at position 1: edge 3 starts at 'm1', "
+                          r"previous edge ends at 'm2'$"),
+            ([(0, 3, 6), (9, 6)], r"^new path 1 uses edge index 9, valid range is \[0, 7\)$"),
+        ]
+        for new_paths, message in cases:
+            with pytest.raises(BrokenPath, match=message):
+                add_edge_update(fan_net, fan_vector, ("x", "t"), 9.0, new_paths)
+        net = Network(["s", "a", "t"], [("s", "a"), ("a", "s"), ("a", "t")], [(0, 2)])
+        y = FlowAggregationMatrix.from_network(net).aggregate(np.array([1.0]))
+        with pytest.raises(BrokenPath, match=r"^new path 0 revisits node 's'$"):
+            add_edge_update(net, y, ("t", "s"), 1.0, [(0, 2, 3, 0)])
+        with pytest.raises(BrokenPath, match=r"^path 1 revisits node 's'$"):
+            Network(["s", "a"], [("s", "a"), ("a", "s")], [(0,), (0, 1)])
+
+    def test_keeps_horizon_and_origin(self, fan_net, fan_vector):
+        prior = ForecastVector(fan_vector, horizon=3, origin=41)
+        result = add_edge_update(fan_net, prior, ("x", "t"), 9.0, FAN_NEW_PATHS)
+        assert (result.y_tilde.horizon, result.y_tilde.origin) == (3, 41)
 
     def test_duplicate_paths_rejected(self, fan_net, fan_vector):
         with pytest.raises(DuplicateId):
@@ -322,6 +348,11 @@ class TestRemoveEdge:
             float(np.sum(y[imap_old.path_slice]))
         )
 
+    def test_keeps_horizon_and_origin(self, parallel_net, parallel_agg):
+        prior = ForecastVector(parallel_agg.aggregate(np.array([3.0, 5.0])), horizon=3, origin=7)
+        _, _, y_new = remove_edge(parallel_net, prior, ("a", "t"))
+        assert (y_new.horizon, y_new.origin) == (3, 7)
+
     def test_disconnection_raises(self, chain_net, chain_agg):
         y = chain_agg.aggregate(np.array([4.0]))
         with pytest.raises(Disconnected):
@@ -360,3 +391,161 @@ class TestRemoveEdge:
                 assert plan.squared_change <= plan.bound + 1e-9
                 break  # one removal per instance keeps the test quick
         assert removed >= 3  # the property must actually have been exercised
+
+
+# ---------------------------------------------------------------------------
+# Edits equal rebuilds.
+# ---------------------------------------------------------------------------
+
+
+def layered_network(seed, n_nodes=300, n_edges=2170, n_paths=1200):
+    """The benchmark's layered network (its ``update-rounds`` workload)."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", Path(perfbench) / "workloads.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(perfbench)
+    nodes, edges, paths = module.layered_network(
+        np.random.default_rng(seed), n_nodes, n_edges, n_paths
+    )
+    return Network(nodes, edges, paths)
+
+
+def incidence_tables(net):
+    """Paths through each node and each edge, by a loop over the path list."""
+    node_paths = [[] for _ in net.nodes]
+    edge_paths = [[] for _ in net.edges]
+    for j, path in enumerate(net.paths):
+        for e in path:
+            edge_paths[e].append(j)
+        for v in net.path_nodes[j]:
+            node_paths[v].append(j)
+    return [tuple(p) for p in node_paths], [tuple(p) for p in edge_paths]
+
+
+def assert_equals_rebuild(net, edges, paths):
+    """``net`` carries ``edges`` and ``paths`` and equals a from-scratch build."""
+    fresh = Network(net.nodes, edges, paths, net.roles)
+    agg, ref = FlowAggregationMatrix.from_network(net), FlowAggregationMatrix.from_network(fresh)
+    assert FlowAggregationMatrix.from_network(net) is agg
+    assert net.aggregation is agg
+    assert net.nodes == fresh.nodes and net.roles == fresh.roles
+    assert net.edges == fresh.edges
+    assert net.paths == fresh.paths
+    assert net.path_nodes == fresh.path_nodes
+    assert net.node_index == fresh.node_index
+    assert net.edge_index == fresh.edge_index
+    assert agg.index_map == ref.index_map == net.index_map
+    for name in ("vp", "ep", "matrix"):
+        got, want = getattr(agg, name), getattr(ref, name)
+        assert got.format == want.format == "csr"
+        assert got.shape == want.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), (name, part)
+    node_paths, edge_paths = incidence_tables(fresh)
+    assert [net.paths_through("node", v) for v in range(len(net.nodes))] == node_paths
+    assert [net.paths_through("edge", e) for e in range(len(net.edges))] == edge_paths
+    assert [fresh.paths_through("node", v) for v in range(len(net.nodes))] == node_paths
+    assert [fresh.paths_through("edge", e) for e in range(len(net.edges))] == edge_paths
+
+
+def removal_reference(net, plan, y):
+    """Edges and paths after ``remove_edge``: surviving paths renumbered in
+    order, then each new replacement route with nonzero flow."""
+    e_star = plan.removed_edge
+    renumber = lambda p: tuple(e - (e > e_star) for e in p)
+    edges = net.edges[:e_star] + net.edges[e_star + 1 :]
+    paths = [renumber(p) for p in net.paths if e_star not in p]
+    path_vals = y[net.index_map.path_slice]
+    mass = {}
+    for q in plan.affected_paths:
+        mass[plan.phi[q]] = mass.get(plan.phi[q], 0.0) + float(path_vals[q])
+    paths += [r for r, flow in mass.items() if r not in paths and flow != 0.0]
+    return edges, tuple(paths)
+
+
+def shortcut(net, rng):
+    """A new edge (u, w) skipping one hop of some path, and up to three
+    distinct paths rerouted over it."""
+    for j in rng.permutation(len(net.paths)).tolist():
+        seq = net.path_nodes[j]
+        skips = [(u, w) for u, w in zip(seq, seq[2:])
+                 if (net.nodes[u], net.nodes[w]) not in net.edge_index]
+        if not skips:
+            continue
+        u, w = skips[int(rng.integers(len(skips)))]
+        new_edge = len(net.edges)
+        routes = []
+        for path, nodes in zip(net.paths, net.path_nodes):
+            if u in nodes and w in nodes and nodes.index(u) < nodes.index(w):
+                route = path[: nodes.index(u)] + (new_edge,) + path[nodes.index(w) :]
+                if route not in routes:
+                    routes.append(route)
+            if len(routes) == 3:
+                break
+        return (net.nodes[u], net.nodes[w]), routes
+    raise AssertionError("every two-hop stretch already has a direct edge")
+
+
+def remove_one(net, y, rng):
+    for e in rng.permutation(len(net.edges)).tolist():
+        if not net.paths_through("edge", e):
+            continue
+        try:
+            plan, updated, y_new = remove_edge(net, y, e)
+        except Disconnected:
+            continue
+        edges, paths = removal_reference(net, plan, y)
+        assert_equals_rebuild(updated, edges, paths)
+        return updated, y_new.data
+    raise AssertionError("no removable edge")
+
+
+def add_one(net, y, rng):
+    edge, routes = shortcut(net, rng)
+    result = add_edge_update(net, y, edge, 10.0, routes)
+    assert_equals_rebuild(result.network, net.edges + (edge,), net.paths + tuple(routes))
+    return result.network, result.y_tilde.data
+
+
+class TestEditEqualsRebuild:
+    def test_generated_instances(self):
+        for seed in (1, 2, 3, 4, 5, 6):
+            inst = random_instance(nodes=12 + seed, seed=900 + seed)
+            rng = np.random.default_rng(seed)
+            y = inst.y_true.data
+            net1, y1 = remove_one(inst.network, y, rng)
+            add_one(inst.network, y, rng)
+            # Chained: remove, then add on the result, then remove on that.
+            net2, y2 = add_one(net1, y1, rng)
+            remove_one(net2, y2, rng)
+
+    def test_layered_benchmark_network(self):
+        for seed in (1, 2):
+            net = layered_network(seed)
+            rng = np.random.default_rng(seed)
+            y = net.aggregation.aggregate(rng.uniform(5.0, 15.0, len(net.paths)))
+            net1, y1 = remove_one(net, y, rng)
+            net2, y2 = add_one(net1, y1, rng)
+            remove_one(net2, y2, rng)
+
+    def test_removal_with_no_affected_path(self, distribution_net):
+        y = FlowAggregationMatrix.from_network(distribution_net).aggregate(np.arange(1.0, 8.0))
+        net = Network(
+            distribution_net.nodes, distribution_net.edges + (("T", "RA"),), distribution_net.paths
+        )
+        y = np.insert(y, len(net.nodes) + 7, 0.0)
+        plan, updated, _ = remove_edge(net, y, ("T", "RA"))
+        assert plan.affected_paths == ()
+        assert_equals_rebuild(updated, distribution_net.edges, distribution_net.paths)
+
+    def test_edit_refuses_a_repeated_path(self, parallel_net):
+        with pytest.raises(DuplicateId, match="^new path 0 repeats a path of the network$"):
+            parallel_net._edit(add=("a", "b"), new_paths=((0, 1),))
+        with pytest.raises(DuplicateId, match="^new path 1 repeats a path of the network$"):
+            parallel_net._edit(add=("a", "b"), new_paths=((0, 4, 3), (0, 4, 3)))

@@ -5,6 +5,7 @@ import pytest
 
 from flowrec import (
     BadParameter,
+    ForecastVector,
     GeneratorConfig,
     NoConvergence,
     generate_instance,
@@ -138,6 +139,12 @@ class TestRelaxed:
             if previous is not None:
                 assert result.loss_value <= previous + 1e-9
             previous = result.loss_value
+
+    def test_keeps_horizon_and_origin(self, chain_agg):
+        y = chain_agg.aggregate(np.array([4.0]))
+        y[1] = 10.0
+        result = reconcile_relaxed(ForecastVector(y, horizon=3, origin=12), chain_agg, 1e-3)
+        assert (result.y_tilde.horizon, result.y_tilde.origin) == (3, 12)
 
     def test_negative_or_nonfinite_band_rejected(self, chain_agg):
         y = chain_agg.aggregate(np.array([4.0]))
