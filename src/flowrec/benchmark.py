@@ -15,7 +15,6 @@ config; wall times, which cannot be, go to a separate timings file.
 from __future__ import annotations
 
 import csv
-import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -25,6 +24,7 @@ import numpy as np
 
 from .baselines import evaluate, reconcile_bottom_up, reconcile_mint_ols
 from .errors import BadParameter, InfeasibleTopology, IoFailure
+from .fileio import open_output, write_json
 from .network import FlowAggregationMatrix, Network
 from .reconcile import (
     LossSpec,
@@ -448,14 +448,11 @@ def _format_cell(v) -> str:
 
 def _write_csv(path: str, rows: list[dict]) -> None:
     fields = list(rows[0].keys())
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(fields)
-            for row in rows:
-                writer.writerow([_format_cell(row[f]) for f in fields])
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with open_output(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fields)
+        for row in rows:
+            writer.writerow([_format_cell(row[f]) for f in fields])
 
 
 def _write_outputs(report: BenchmarkReport, out_dir: str, workers: int) -> None:
@@ -488,10 +485,5 @@ def _write_outputs(report: BenchmarkReport, out_dir: str, workers: int) -> None:
     _write_csv(files["per_instance"], report.per_instance)
     _write_csv(files["summary"], report.summary)
     _write_csv(files["timings"], report.timings)
-    try:
-        with open(files["config"], "w") as fh:
-            json.dump(config_payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {files['config']}: {exc}") from exc
+    write_json(files["config"], config_payload)
     report.files = files

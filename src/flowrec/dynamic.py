@@ -285,16 +285,20 @@ class RemovalPlan:
     bound: float
 
 
-def _shortest_route(net: Network, banned_edge: int, origin: int) -> dict[int, int]:
+def _shortest_route(
+    net: Network, banned_edge: int, origin: int, targets: set[int]
+) -> dict[int, int]:
     """Hop-shortest search from origin avoiding one edge.
 
     Unit edge weights make breadth-first order optimal.  Returns the
     parent edge per reached node; ties break toward lower edge indices
-    for determinism.
+    for determinism.  A parent is fixed when its node is discovered, so
+    the search stops as soon as every node in ``targets`` has one.
     """
     parent: dict[int, int] = {origin: -1}
+    missing = targets - {origin}
     queue = deque([origin])
-    while queue:
+    while queue and missing:
         v = queue.popleft()
         for e in net.out_edges(v):
             if e == banned_edge:
@@ -303,6 +307,9 @@ def _shortest_route(net: Network, banned_edge: int, origin: int) -> dict[int, in
             if w not in parent:
                 parent[w] = e
                 queue.append(w)
+                missing.discard(w)
+                if not missing:
+                    break
     return parent
 
 
@@ -360,15 +367,17 @@ def remove_edge(net: Network, y_tilde, edge) -> tuple[RemovalPlan, Network, Fore
     affected = net.paths_through("edge", e_star)
     path_vals = y[imap.path_slice]
 
-    # Hop-shortest replacement route per affected origin-destination pair.
-    search_cache: dict[int, dict[int, int]] = {}
+    # Hop-shortest replacement route per affected origin-destination pair:
+    # one search per origin, stopped once all of its destinations are reached.
+    targets: dict[int, set[int]] = {}
+    for q in affected:
+        targets.setdefault(net.path_origin(q), set()).add(net.path_destination(q))
+    searches = {o: _shortest_route(net, e_star, o, dests) for o, dests in targets.items()}
     phi: dict[int, tuple[int, ...]] = {}
     for q in affected:
         origin = net.path_origin(q)
         dest = net.path_destination(q)
-        if origin not in search_cache:
-            search_cache[origin] = _shortest_route(net, e_star, origin)
-        parent = search_cache[origin]
+        parent = searches[origin]
         if dest not in parent:
             raise Disconnected(
                 f"removing edge {e_star} leaves no route from "

@@ -1,5 +1,7 @@
 """Tests for instance generation and the comparison harness."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,29 @@ class TestRunBenchmark:
         assert len((dir_a / "timings.csv").read_text().splitlines()) == len(
             (dir_b / "timings.csv").read_text().splitlines()
         )
+
+    def test_shrinking_rerun_equals_a_fresh_run(self, tmp_path):
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        methods = ("base", "bu", "l2")
+        run_benchmark(GeneratorConfig(nodes=10, instances=3, seed=21), methods, str(reused))
+        small = GeneratorConfig(nodes=10, instances=1, seed=21)
+        run_benchmark(small, methods, str(reused))
+        run_benchmark(small, methods, str(fresh))
+        # timings.csv holds wall times and is not compared.
+        for name in ("per_instance.csv", "summary.csv", "config.json"):
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_config_json_layout(self, tmp_path):
+        cfg = GeneratorConfig(**SMALL)
+        run_benchmark(cfg, methods=("base", "l2"), out_dir=str(tmp_path))
+        expected = {
+            "nodes": 10, "instances": 5, "density": None, "sigma": None,
+            "max_paths": None, "max_hops": 8, "flow_low": 5.0, "flow_high": 15.0,
+            "source_frac": 0.2, "sink_frac": 0.2, "seed": 21,
+            "methods": ["base", "l2"], "threads": thread_count(),
+        }
+        text = json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "config.json").read_text() == text
 
     def test_threaded_run_matches_serial_output(self, tmp_path, monkeypatch):
         cfg = GeneratorConfig(**SMALL)

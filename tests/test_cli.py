@@ -523,6 +523,51 @@ class TestBenchmarkCli:
         assert "nope" in capsys.readouterr().err
 
 
+# ---------------------------------------------------------------------------
+# output files
+# ---------------------------------------------------------------------------
+
+
+def test_rewritten_outputs_are_never_opened_truncating(tmp_path, monkeypatch, chain_net, capsys):
+    # Truncating an existing file (O_TRUNC, or open(path, "w")) and renaming
+    # over it both make ext4 flush the file when it is closed; outputs are
+    # overwritten in place instead.
+    net, fc = stage(tmp_path, chain_net, [CHAIN_BASE, CHAIN_BASE + 1.0])
+    inside = str(tmp_path)
+    truncating: list[tuple] = []
+    real_open, real_os_open = open, os.open
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and str(file).startswith(inside) and "w" in mode:
+            truncating.append(("open", str(file), mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    def spy_os_open(path, flags, *args, **kwargs):
+        if str(path).startswith(inside) and flags & os.O_TRUNC:
+            truncating.append(("os.open", str(path), flags))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def no_rename(src, dst, *args, **kwargs):
+        truncating.append(("rename", str(src), str(dst)))
+
+    monkeypatch.setattr("builtins.open", spy_open)
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(os, "replace", no_rename)
+    monkeypatch.setattr(os, "rename", no_rename)
+    out = str(tmp_path / "rec.csv")
+    bench = ["benchmark", "--nodes", "8", "--instances", "2", "--methods", "base,l2",
+             "--seed", "3", "--out-dir", str(tmp_path / "bench")]
+    for _ in range(2):
+        assert main(["reconcile", "--network", net, "--forecast", fc, "--out", out]) == 0
+        assert main(bench) == 0
+    monkeypatch.undo()
+    assert truncating == []
+    assert len(read_out(out, chain_net)) == 2
+    assert len(read_json(out + ".diagnostics.json")["horizons"]) == 2
+    assert sorted(os.listdir(tmp_path / "bench")) == [
+        "config.json", "per_instance.csv", "summary.csv", "timings.csv"]
+
+
 def test_console_script_points_at_main():
     # The promise lives in pyproject.toml, which the checkout always holds;
     # installed metadata exists only after an install and is checked when

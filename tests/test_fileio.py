@@ -1,8 +1,11 @@
 """Tests for the on-disk formats: network JSON and the CSV panels."""
 
 import csv
+import errno
 import io
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -25,6 +28,8 @@ from flowrec import (
     write_forecast,
     write_network,
 )
+
+from flowrec.fileio import open_output
 
 from conftest import coherent_distribution_vector
 
@@ -385,3 +390,84 @@ class TestDiagnostics:
         v = ForecastVector(np.array([1.0, 2.0]), horizon=3, origin="2024-01-05")
         assert v.horizon == 3
         assert v.origin == "2024-01-05"
+
+
+class TestOutputFiles:
+    """Every writer overwrites in place; the result equals a fresh write."""
+
+    def test_non_regular_targets_are_written(self, distribution_net):
+        # /dev/null cannot be truncated; the writers must not try.
+        write_network(distribution_net, os.devnull)
+        write_forecast(os.devnull, np.zeros(distribution_net.index_map.n), distribution_net)
+        write_diagnostics(os.devnull, {"horizons": [{"coherent": True}]})
+
+    @pytest.mark.parametrize("case", ["forecast", "network", "diagnostics"])
+    def test_shrinking_rewrite_equals_a_fresh_write(self, tmp_path, case, parallel_net,
+                                                     distribution_net, chain_net):
+        n = parallel_net.index_map.n
+        writes = {
+            "forecast": (
+                lambda p: write_forecast(p, [np.arange(n) + h / 3 for h in range(3)], parallel_net),
+                lambda p: write_forecast(p, np.arange(n) / 7, parallel_net),
+            ),
+            "network": (
+                lambda p: write_network(distribution_net, p),
+                lambda p: write_network(chain_net, p),
+            ),
+            "diagnostics": (
+                lambda p: write_diagnostics(p, {"horizons": [{"loss": 0.5 * h} for h in range(9)]}),
+                lambda p: write_diagnostics(p, {"horizons": [{"loss": 0.25}]}),
+            ),
+        }
+        larger, smaller = writes[case]
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        larger(str(reused))
+        big = reused.stat().st_size
+        smaller(str(reused))
+        smaller(str(fresh))
+        assert reused.read_bytes() == fresh.read_bytes()
+        assert reused.stat().st_size < big
+
+    def test_rewrite_keeps_inode_mode_and_hard_links(self, tmp_path, distribution_net, chain_net):
+        p = tmp_path / "net.json"
+        write_network(distribution_net, str(p))
+        os.chmod(p, 0o640)
+        link = tmp_path / "hard.json"
+        os.link(p, link)
+        inode = p.stat().st_ino
+        write_network(chain_net, str(p))
+        assert p.stat().st_ino == inode
+        assert stat.S_IMODE(p.stat().st_mode) == 0o640
+        assert link.read_bytes() == p.read_bytes()
+        assert read_network(str(link)).paths == chain_net.paths
+
+    def test_symlinked_output_stays_a_link(self, tmp_path, chain_net):
+        target = tmp_path / "target.csv"
+        target.write_text("stale content that is longer than the new file\n" * 50)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        write_forecast(str(link), np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0]), chain_net)
+        assert link.is_symlink()
+        fresh = tmp_path / "fresh.csv"
+        write_forecast(str(fresh), np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0]), chain_net)
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_failed_write_leaves_an_empty_file(self, tmp_path):
+        p = tmp_path / "out.txt"
+        p.write_text("old bytes " * 100)
+        with pytest.raises(IoFailure, match="cannot write"):
+            with open_output(str(p)) as fh:
+                fh.write("new")
+                raise OSError(errno.ENOSPC, "No space left on device")
+        assert p.read_bytes() == b""
+
+    def test_failed_serialisation_leaves_an_empty_file(self, tmp_path):
+        p = tmp_path / "diag.json"
+        write_diagnostics(str(p), {"horizons": list(range(500))})
+        with pytest.raises(TypeError):
+            write_diagnostics(str(p), {"a": 1, "b": object()})
+        assert p.read_bytes() == b""
+
+    def test_unopenable_path_raises_io_failure(self, tmp_path, chain_net):
+        with pytest.raises(IoFailure, match="cannot write"):
+            write_network(chain_net, str(tmp_path / "no" / "such" / "dir.json"))
