@@ -18,7 +18,7 @@ import csv
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -188,7 +188,7 @@ def generate_instance(cfg: GeneratorConfig, index: int) -> BenchmarkInstance:
     candidates += [
         (m, t) for m in mids for t in sinks if (m, t) not in edge_set
     ]
-    m_max = len(edges) + len(candidates)
+    m_max = permitted_edge_count(cfg)
     u = cfg.density if cfg.density is not None else float(rng.uniform())
     m_target = int(round(cfg.nodes + u * (m_max - cfg.nodes)))
     extra = min(max(m_target - len(edges), 0), len(candidates))
@@ -460,19 +460,8 @@ def _write_outputs(report: BenchmarkReport, out_dir: str, workers: int) -> None:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create {out_dir}: {exc}") from exc
-    cfg = report.config
     config_payload = {
-        "nodes": cfg.nodes,
-        "instances": cfg.instances,
-        "density": cfg.density,
-        "sigma": cfg.sigma,
-        "max_paths": cfg.max_paths,
-        "max_hops": cfg.max_hops,
-        "flow_low": cfg.flow_low,
-        "flow_high": cfg.flow_high,
-        "source_frac": cfg.source_frac,
-        "sink_frac": cfg.sink_frac,
-        "seed": cfg.seed,
+        **asdict(report.config),
         "methods": list(report.methods),
         "threads": workers,
     }

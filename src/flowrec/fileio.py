@@ -328,7 +328,9 @@ def read_box(path: str, net: Network) -> BoxConstraints:
     """Read box constraints: header kind,id,lower,upper, one row per bound.
 
     Components may appear at most once; omitted components are unbounded.
-    Empty cells (or inf/-inf) leave the corresponding side open.
+    An empty cell, a lower bound of -inf or an upper bound of inf leaves
+    that side open.  A lower bound of inf or an upper bound of -inf admits
+    no value, and :class:`BoxConstraints` refuses it with BadParameter.
     """
     table = _id_table(net)
     rows = _read_rows(path)

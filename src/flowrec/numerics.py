@@ -15,7 +15,8 @@ numerics itself:
   :class:`SparseSpd` wraps an explicit matrix handed in from outside and
   checks its symmetry; operators built here are symmetric by construction
   and skip that check.
-* :func:`solve_lp`, a sparse linear program solved by HiGHS's dual
+* :func:`solve_lp`, a sparse linear program in one form, min c @ x
+  subject to a_ub @ x <= b_ub and x >= lower, solved by HiGHS's dual
   revised simplex (``scipy.optimize.linprog(method="highs")``).  The
   strong-duality gap and dual infeasibility are recomputed here from the
   returned duals so callers can certify optimality.
@@ -281,55 +282,6 @@ def _block_cg(matvec, b: np.ndarray, tol: float, max_iter: int):
 
 
 @dataclass
-class LpProblem:
-    """min c @ x subject to a_ub-style rows and per-variable lower bounds.
-
-    Args:
-        c: objective coefficients, length nv.
-        a: constraint matrix, shape (nr, nv), dense or scipy sparse.
-        relations: one of "<=", "=", ">=" per row.
-        b: right-hand sides, length nr.
-        lower_bounds: per-variable lower bound; -inf marks a free variable.
-            Defaults to zero for every variable.  Upper bounds are expressed
-            as explicit rows.
-    """
-
-    c: np.ndarray
-    a: np.ndarray | sp.spmatrix
-    relations: tuple[str, ...]
-    b: np.ndarray
-    lower_bounds: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        if sp.issparse(self.a):
-            self.a = sp.csr_matrix(self.a, dtype=float)
-        else:
-            self.a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        self.b = np.asarray(self.b, dtype=float)
-        self.relations = tuple(self.relations)
-        nr, nv = self.a.shape
-        if self.c.shape != (nv,) or self.b.shape != (nr,) or len(self.relations) != nr:
-            raise DimensionMismatch(
-                f"inconsistent LP shapes: a {self.a.shape}, c {self.c.shape}, "
-                f"b {self.b.shape}, {len(self.relations)} relations"
-            )
-        if nr == 0:
-            raise BadParameter("LP needs at least one constraint row")
-        for rel in self.relations:
-            if rel not in ("<=", "=", ">="):
-                raise BadParameter(f"relation {rel!r} not one of <=, =, >=")
-        if self.lower_bounds is None:
-            self.lower_bounds = np.zeros(nv)
-        else:
-            self.lower_bounds = np.asarray(self.lower_bounds, dtype=float)
-            if self.lower_bounds.shape != (nv,):
-                raise DimensionMismatch("lower_bounds length does not match variables")
-            if np.any(np.isnan(self.lower_bounds)) or np.any(self.lower_bounds == np.inf):
-                raise BadParameter("lower bounds must be finite or -inf")
-
-
-@dataclass
 class LpSolution:
     """Optimal point plus the optimality certificate recomputed from the duals."""
 
@@ -340,46 +292,53 @@ class LpSolution:
     iterations: int
 
 
-def solve_lp(problem: LpProblem, max_pivots: int = 100_000) -> LpSolution:
-    """Solve the LP with HiGHS's dual revised simplex and certify the answer.
+def solve_lp(c, a_ub, b_ub, lower, max_pivots: int = 100_000) -> LpSolution:
+    """Minimise c @ x subject to a_ub @ x <= b_ub and x >= lower, and certify it.
 
-    ">=" rows are negated into "<=" rows and handed with the "=" rows to
-    ``scipy.optimize.linprog(method="highs")`` in sparse form.  The solver's
-    status is not taken on trust: the row duals it returns are mapped back
-    to the caller's rows, the reduced costs r = c - A^T y are recomputed
-    here, and the certificate is derived from them.  ``dual_infeasibility``
-    is the worst sign violation (a row dual of the wrong sign, a negative
-    reduced cost on a bounded variable, a nonzero one on a free variable)
-    and ``duality_gap`` is |c@x - (b@y + l@r)| over the bounded variables;
-    a gap above ~1e-7 means the answer should not be trusted.
+    HiGHS's dual revised simplex (``scipy.optimize.linprog(method="highs")``)
+    solves the LP in sparse form.  The solver's status is not taken on
+    trust: the reduced costs r = c - a_ub^T y are recomputed here from the
+    row duals y <= 0 it returns, and the certificate is derived from them.
+    ``dual_infeasibility`` is the worst sign violation (a positive row dual,
+    a negative reduced cost on a bounded variable, a nonzero one on a free
+    variable) and ``duality_gap`` is |c@x - (b_ub@y + l@r)| over the bounded
+    variables; a gap above ~1e-7 means the answer should not be trusted.
 
     Args:
-        problem: the LP.
+        c: objective coefficients, length nv.
+        a_ub: constraint matrix, shape (nr, nv), dense or scipy sparse.  A
+            ">=" row is passed negated; an equality as a pair of rows.
+        b_ub: right-hand sides, length nr.
+        lower: per-variable lower bound, length nv; -inf marks a free
+            variable.  Upper bounds are expressed as rows.
         max_pivots: simplex iteration budget.
 
     Raises:
-        Infeasible, Unbounded, CyclingDetected (budget exhausted),
-        SolveFailure (any other solver outcome).
+        DimensionMismatch (inconsistent shapes), BadParameter (a NaN or
+        +inf lower bound), Infeasible, Unbounded, CyclingDetected (budget
+        exhausted), SolveFailure (any other solver outcome).
     """
     from scipy.optimize import linprog  # ~0.2 s to import; only LP callers pay it
 
-    a = sp.csr_matrix(problem.a)
-    rel = np.array(problem.relations)
-    sign = np.where(rel == ">=", -1.0, 1.0)
-    a_signed = sp.diags(sign) @ a
-    b_signed = sign * problem.b
-    ub = np.flatnonzero(rel != "=")
-    eq = np.flatnonzero(rel == "=")
-    lb = problem.lower_bounds
+    c = np.asarray(c, dtype=float)
+    a = sp.csr_matrix(a_ub, dtype=float)
+    b = np.asarray(b_ub, dtype=float)
+    lb = np.asarray(lower, dtype=float)
+    nr, nv = a.shape
+    if c.shape != (nv,) or b.shape != (nr,) or lb.shape != (nv,):
+        raise DimensionMismatch(
+            f"inconsistent LP shapes: a_ub {a.shape}, c {c.shape}, "
+            f"b_ub {b.shape}, lower {lb.shape}"
+        )
+    if np.any(np.isnan(lb)) or np.any(lb == np.inf):
+        raise BadParameter("lower bounds must be finite or -inf")
     bounded = np.isfinite(lb)
 
     res = linprog(
-        problem.c,
-        A_ub=a_signed[ub] if ub.size else None,
-        b_ub=b_signed[ub] if ub.size else None,
-        A_eq=a_signed[eq] if eq.size else None,
-        b_eq=b_signed[eq] if eq.size else None,
-        bounds=np.column_stack([lb, np.full(lb.shape, np.inf)]),
+        c,
+        A_ub=a,
+        b_ub=b,
+        bounds=np.column_stack([lb, np.full(nv, np.inf)]),
         method="highs",
         options={"maxiter": max_pivots},
     )
@@ -392,20 +351,16 @@ def solve_lp(problem: LpProblem, max_pivots: int = 100_000) -> LpSolution:
     if res.status != 0:
         raise SolveFailure(f"LP solver failed: {res.message}")
 
-    # Certificate from the duals, in the caller's row orientation.
-    y_signed = np.zeros(len(rel))
-    y_signed[ub] = res.ineqlin.marginals
-    y_signed[eq] = res.eqlin.marginals
-    y = sign * y_signed
+    y = np.asarray(res.ineqlin.marginals, dtype=float)
     x = np.asarray(res.x, dtype=float)
-    reduced = problem.c - a.T @ y
+    reduced = c - a.T @ y
     dual_infeas = max(
-        float(np.max(y_signed[ub], initial=0.0)),
+        float(np.max(y, initial=0.0)),
         float(np.max(-reduced[bounded], initial=0.0)),
         float(np.max(np.abs(reduced[~bounded]), initial=0.0)),
     )
-    objective = float(problem.c @ x)
-    dual_obj = float(problem.b @ y + lb[bounded] @ reduced[bounded])
+    objective = float(c @ x)
+    dual_obj = float(b @ y + lb[bounded] @ reduced[bounded])
     return LpSolution(
         x=x,
         objective=objective,
@@ -424,7 +379,6 @@ class MinimizeResult:
     value: float
     gradient_norm: float
     iterations: int
-    converged: bool
 
 
 def minimize_smooth_convex(
@@ -467,7 +421,7 @@ def minimize_smooth_convex(
         else:
             crit = float(np.linalg.norm(x - project(x - g)))
         if crit <= tol * (1.0 + abs(f)):
-            return MinimizeResult(x, float(f), crit, it, True)
+            return MinimizeResult(x, float(f), crit, it)
         if it == max_iter:
             raise NoConvergence(
                 f"gradient descent used all {max_iter} iterations, criterion {crit:.3e} "
@@ -503,7 +457,7 @@ def minimize_smooth_convex(
             # No acceptable step: treat as stationary if the criterion is
             # close, otherwise report failure honestly.
             if crit <= 10.0 * tol * (1.0 + abs(f)):
-                return MinimizeResult(x, float(f), crit, it, True)
+                return MinimizeResult(x, float(f), crit, it)
             raise NoConvergence(
                 f"line search failed at iteration {it} with criterion {crit:.3e}"
             )
@@ -522,9 +476,9 @@ def minimize_semismooth_newton(
 
     Args:
         fun: callable x -> (value, gradient).
-        hessian: callable x -> symmetric positive semidefinite generalised
-            Hessian at x, either as a callable v -> H v (trusted symmetric)
-            or as an explicit sparse matrix (symmetry-checked).
+        hessian: callable x -> the symmetric positive semidefinite
+            generalised Hessian at x, as a callable v -> H v (trusted
+            symmetric).
         x0: starting point.
         tol: stop once ||gradient|| <= tol * (1 + |value|).
         max_iter: Newton-step budget.
@@ -539,14 +493,13 @@ def minimize_semismooth_newton(
         g_norm = float(np.linalg.norm(g))
         target = tol * (1.0 + abs(f))
         if g_norm <= target:
-            return MinimizeResult(x, float(f), g_norm, it, True)
+            return MinimizeResult(x, float(f), g_norm, it)
         if it == max_iter:
             raise NoConvergence(
                 f"semismooth Newton used all {max_iter} steps, gradient norm "
                 f"{g_norm:.3e} above target {target:.3e}"
             )
-        h = hessian(x)
-        apply_h = h if callable(h) else SparseSpd(h).matvec
+        apply_h = hessian(x)
         mu = min(g_norm, 1.0)
         forcing = min(0.1, float(np.sqrt(g_norm / (1.0 + abs(f)))))
         d, _ = solve_spd_with_info(lambda v: apply_h(v) + mu * v, -g, tol=forcing)
@@ -565,7 +518,7 @@ def minimize_semismooth_newton(
             step *= _BACKTRACK_SHRINK
         else:
             if g_norm <= 10.0 * target:
-                return MinimizeResult(x, float(f), g_norm, it, True)
+                return MinimizeResult(x, float(f), g_norm, it)
             raise NoConvergence(
                 f"Newton line search failed at step {it} with gradient norm {g_norm:.3e}"
             )

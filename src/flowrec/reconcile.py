@@ -42,7 +42,6 @@ from .errors import (
 )
 from .network import FlowAggregationMatrix
 from .numerics import (
-    LpProblem,
     minimize_semismooth_newton,
     minimize_smooth_convex,
     solve_lp,
@@ -102,7 +101,12 @@ class LossSpec:
 
 @dataclass
 class BoxConstraints:
-    """Per-component bounds on the reconciled vector; +-inf disables a side."""
+    """Per-component bounds on the reconciled vector.
+
+    A lower bound of -inf or an upper bound of +inf leaves that side open.
+    A lower bound of +inf or an upper bound of -inf admits no value and is
+    refused with :class:`BadParameter`.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
@@ -114,6 +118,8 @@ class BoxConstraints:
             raise DimensionMismatch("box bounds must be two equal-length vectors")
         if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
             raise BadParameter("box bounds must not contain NaN")
+        if np.any(self.lower == np.inf) or np.any(self.upper == -np.inf):
+            raise BadParameter("box has a lower bound of +inf or an upper bound of -inf")
         if np.any(self.lower > self.upper):
             raise BadParameter("box has lower > upper for some component")
 
@@ -341,13 +347,14 @@ def reconcile_l1(
 ) -> ReconciliationResult:
     """Least-absolute-deviation reconciliation as a linear program.
 
-    One slack variable per component bounds the adjustment magnitude from
-    above on both sides; minimising the weighted slack sum makes each slack
-    tight at optimality.  The rows are built as one sparse block
-    ``[-S I; S I]`` and optional box constraints add one row per finite
-    bound on the aggregated values.  HiGHS solves the LP, and the
-    strong-duality gap that :func:`solve_lp` recomputes from the returned
-    duals is carried in ``stats.duality_gap``.
+    One slack variable s_i per component bounds the adjustment magnitude
+    from above on both sides; minimising the weighted slack sum makes each
+    slack tight at optimality.  The rows are the "<=" rows :func:`solve_lp`
+    takes, built as one sparse block ``[S -I; -S -I]`` with right-hand side
+    ``[yhat; -yhat]``.  A box adds the row (S b)_i <= u_i per finite upper
+    bound and -(S b)_i <= -l_i per finite lower bound.  HiGHS solves the LP,
+    and the strong-duality gap that :func:`solve_lp` recomputes from the
+    returned duals is carried in ``stats.duality_gap``.
     """
     t0 = time.perf_counter()
     y = _as_component_vector(yhat, agg.n)
@@ -360,22 +367,20 @@ def reconcile_l1(
 
     s = agg.matrix
     eye = sp.identity(n, format="csr")
-    # s_i - (S b)_i >= -yhat_i  and  s_i + (S b)_i >= yhat_i
-    blocks = [[-s, eye], [s, eye]]
-    rels = [">="] * (2 * n)
-    rhs = [-y, y]
+    # (S b)_i - s_i <= yhat_i  and  -(S b)_i - s_i <= -yhat_i
+    blocks = [[s, -eye], [-s, -eye]]
+    rhs = [y, -y]
     if box is not None:
-        for bound, rel in ((box.upper, "<="), (box.lower, ">=")):
+        for sign, bound in ((1.0, box.upper), (-1.0, box.lower)):
             rows = np.flatnonzero(np.isfinite(bound))
             if rows.size:
-                blocks.append([s[rows], sp.csr_matrix((rows.size, n))])
-                rels += [rel] * rows.size
-                rhs.append(bound[rows])
-    a = sp.bmat(blocks, format="csr")
+                blocks.append([sign * s[rows], sp.csr_matrix((rows.size, n))])
+                rhs.append(sign * bound[rows])
+    a_ub = sp.bmat(blocks, format="csr")
 
     cost = np.concatenate([np.zeros(np_), w])
     lower = np.concatenate([np.full(np_, -np.inf), np.zeros(n)])
-    sol = solve_lp(LpProblem(cost, a, tuple(rels), np.concatenate(rhs), lower))
+    sol = solve_lp(cost, a_ub, np.concatenate(rhs), lower)
     b = sol.x[:np_]
     wall = time.perf_counter() - t0
     stats = SolverStats(

@@ -286,6 +286,24 @@ class TestReconcileErrors:
         assert rc == 2
         assert "row 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("loss", ["l1", "l2"])
+    @pytest.mark.parametrize(
+        "row", ["node,a,inf,", "path,P0,inf,", "path,P0,,-inf"],
+        ids=["node-lower-inf", "path-lower-inf", "path-upper-minus-inf"],
+    )
+    def test_bound_no_value_meets_exit_2(self, tmp_path, chain_net, capsys, loss, row):
+        net_path, fc_path = stage(tmp_path, chain_net, CHAIN_BASE)
+        box_path = tmp_path / "box.csv"
+        box_path.write_text(f"kind,id,lower,upper\n{row}\n")
+        out = tmp_path / "o.csv"
+        rc = main(
+            ["reconcile", "--network", net_path, "--forecast", fc_path,
+             "--loss", loss, "--box", str(box_path), "--out", str(out)]
+        )
+        assert rc == 2
+        assert "inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_colliding_edge_ids_exit_2(self, tmp_path, capsys):
         net = Network(["a->b", "c", "a", "b->c"], [("a->b", "c"), ("a", "b->c")], [(0,), (1,)])
         net_path = tmp_path / "net.json"

