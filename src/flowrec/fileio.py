@@ -331,6 +331,8 @@ def read_box(path: str, net: Network) -> BoxConstraints:
     An empty cell, a lower bound of -inf or an upper bound of inf leaves
     that side open.  A lower bound of inf or an upper bound of -inf admits
     no value, and :class:`BoxConstraints` refuses it with BadParameter.
+    A bound adds no row to the l1 LP: :func:`~flowrec.reconcile.reconcile_l1`
+    turns it into bounds on that component's split adjustment.
     """
     table = _id_table(net)
     rows = _read_rows(path)

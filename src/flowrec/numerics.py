@@ -16,8 +16,8 @@ numerics itself:
   checks its symmetry; operators built here are symmetric by construction
   and skip that check.
 * :func:`solve_lp`, a sparse linear program in one form, min c @ x
-  subject to a_ub @ x <= b_ub and x >= lower, solved by HiGHS's dual
-  revised simplex (``scipy.optimize.linprog(method="highs")``).  The
+  subject to a_eq @ x == b_eq and lower <= x <= upper, solved by HiGHS's
+  dual revised simplex (``scipy.optimize.linprog(method="highs")``).  The
   strong-duality gap and dual infeasibility are recomputed here from the
   returned duals so callers can certify optimality.
 * :func:`minimize_semismooth_newton`, damped Newton steps on a generalised
@@ -46,6 +46,8 @@ from .errors import (
 
 # Symmetry tolerance and line-search constants used across the kernels.
 _SYM_RTOL = 1e-12
+# HiGHS treats any value of this magnitude or more as infinite.
+_HIGHS_INF = 1e20
 _ARMIJO_C = 1e-4
 _BACKTRACK_SHRINK = 0.5
 
@@ -292,53 +294,66 @@ class LpSolution:
     iterations: int
 
 
-def solve_lp(c, a_ub, b_ub, lower, max_pivots: int = 100_000) -> LpSolution:
-    """Minimise c @ x subject to a_ub @ x <= b_ub and x >= lower, and certify it.
+def solve_lp(c, a_eq, b_eq, lower, upper, max_pivots: int = 100_000) -> LpSolution:
+    """Minimise c @ x subject to a_eq @ x == b_eq and lower <= x <= upper, and certify it.
 
     HiGHS's dual revised simplex (``scipy.optimize.linprog(method="highs")``)
     solves the LP in sparse form.  The solver's status is not taken on
-    trust: the reduced costs r = c - a_ub^T y are recomputed here from the
-    row duals y <= 0 it returns, and the certificate is derived from them.
-    ``dual_infeasibility`` is the worst sign violation (a positive row dual,
-    a negative reduced cost on a bounded variable, a nonzero one on a free
-    variable) and ``duality_gap`` is |c@x - (b_ub@y + l@r)| over the bounded
-    variables; a gap above ~1e-7 means the answer should not be trusted.
+    trust: the reduced costs r = c - a_eq^T y are recomputed here from the
+    free-signed row duals y it returns, and the certificate is derived from
+    them.  ``dual_infeasibility`` is the worst sign violation (a positive
+    reduced cost on a variable with no lower bound, a negative one on a
+    variable with no upper bound) and ``duality_gap`` is
+    |c@x - (b_eq@y + sum l_j max(r_j, 0) + sum u_j min(r_j, 0))| over the
+    finite bounds; a gap above ~1e-7 means the answer should not be trusted.
 
     Args:
         c: objective coefficients, length nv.
-        a_ub: constraint matrix, shape (nr, nv), dense or scipy sparse.  A
-            ">=" row is passed negated; an equality as a pair of rows.
-        b_ub: right-hand sides, length nr.
-        lower: per-variable lower bound, length nv; -inf marks a free
-            variable.  Upper bounds are expressed as rows.
+        a_eq: constraint matrix, shape (nr, nv), dense or scipy sparse.  An
+            inequality row is passed as an equality with a slack column.
+        b_eq: right-hand sides, length nr.
+        lower: per-variable lower bound, length nv; -inf leaves it open.
+        upper: per-variable upper bound, length nv; +inf leaves it open.
         max_pivots: simplex iteration budget.
 
     Raises:
-        DimensionMismatch (inconsistent shapes), BadParameter (a NaN or
-        +inf lower bound), Infeasible, Unbounded, CyclingDetected (budget
-        exhausted), SolveFailure (any other solver outcome).
+        DimensionMismatch (inconsistent shapes), BadParameter (a NaN bound,
+        a lower bound of +inf, an upper bound of -inf, lower > upper, or an
+        entry of c, b_eq or a finite bound at or above 1e20 in magnitude,
+        which HiGHS would read as infinite), Infeasible, Unbounded,
+        CyclingDetected (budget exhausted), SolveFailure (any other solver
+        outcome).
     """
     from scipy.optimize import linprog  # ~0.2 s to import; only LP callers pay it
 
     c = np.asarray(c, dtype=float)
-    a = sp.csr_matrix(a_ub, dtype=float)
-    b = np.asarray(b_ub, dtype=float)
+    a = sp.csr_matrix(a_eq, dtype=float)
+    b = np.asarray(b_eq, dtype=float)
     lb = np.asarray(lower, dtype=float)
+    ub = np.asarray(upper, dtype=float)
     nr, nv = a.shape
-    if c.shape != (nv,) or b.shape != (nr,) or lb.shape != (nv,):
+    if c.shape != (nv,) or b.shape != (nr,) or lb.shape != (nv,) or ub.shape != (nv,):
         raise DimensionMismatch(
-            f"inconsistent LP shapes: a_ub {a.shape}, c {c.shape}, "
-            f"b_ub {b.shape}, lower {lb.shape}"
+            f"inconsistent LP shapes: a_eq {a.shape}, c {c.shape}, "
+            f"b_eq {b.shape}, lower {lb.shape}, upper {ub.shape}"
         )
-    if np.any(np.isnan(lb)) or np.any(lb == np.inf):
-        raise BadParameter("lower bounds must be finite or -inf")
-    bounded = np.isfinite(lb)
+    if np.any(np.isnan(lb) | np.isnan(ub) | (lb == np.inf) | (ub == -np.inf)):
+        raise BadParameter("lower bounds must be finite or -inf, upper bounds finite or +inf")
+    if np.any(lb > ub):
+        raise BadParameter("some variable has lower > upper")
+    has_lb = np.isfinite(lb)
+    has_ub = np.isfinite(ub)
+    if not np.all(np.abs(np.concatenate([c, b, lb[has_lb], ub[has_ub]])) < _HIGHS_INF):
+        raise BadParameter(
+            "c, b_eq and the finite bounds must be finite and below 1e20 in "
+            "magnitude; HiGHS reads larger values as infinite"
+        )
 
     res = linprog(
         c,
-        A_ub=a,
-        b_ub=b,
-        bounds=np.column_stack([lb, np.full(nv, np.inf)]),
+        A_eq=a,
+        b_eq=b,
+        bounds=np.column_stack([lb, ub]),
         method="highs",
         options={"maxiter": max_pivots},
     )
@@ -351,16 +366,17 @@ def solve_lp(c, a_ub, b_ub, lower, max_pivots: int = 100_000) -> LpSolution:
     if res.status != 0:
         raise SolveFailure(f"LP solver failed: {res.message}")
 
-    y = np.asarray(res.ineqlin.marginals, dtype=float)
+    y = np.asarray(res.eqlin.marginals, dtype=float)
     x = np.asarray(res.x, dtype=float)
     reduced = c - a.T @ y
+    up = np.maximum(reduced, 0.0)
+    down = np.minimum(reduced, 0.0)
     dual_infeas = max(
-        float(np.max(y, initial=0.0)),
-        float(np.max(-reduced[bounded], initial=0.0)),
-        float(np.max(np.abs(reduced[~bounded]), initial=0.0)),
+        float(np.max(up[~has_lb], initial=0.0)),
+        float(np.max(-down[~has_ub], initial=0.0)),
     )
     objective = float(c @ x)
-    dual_obj = float(b @ y + lb[bounded] @ reduced[bounded])
+    dual_obj = float(b @ y + lb[has_lb] @ up[has_lb] + ub[has_ub] @ down[has_ub])
     return LpSolution(
         x=x,
         objective=objective,

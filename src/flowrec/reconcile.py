@@ -16,7 +16,8 @@ differs is the objective:
 * :func:`reconcile_weighted` is the closed-form solution of the generic
   weighted projection under explicit linear constraints, computed densely.
 * :func:`reconcile_l1` minimises the (weighted) sum of absolute
-  adjustments as a linear program with one slack per component.
+  adjustments as a linear program with one equality row per component,
+  the adjustment split into its positive and negative parts.
 * :func:`reconcile_general` handles smooth symmetric losses: Huber by
   semismooth Newton steps, custom and box-bounded ones by gradient descent.
 
@@ -347,14 +348,17 @@ def reconcile_l1(
 ) -> ReconciliationResult:
     """Least-absolute-deviation reconciliation as a linear program.
 
-    One slack variable s_i per component bounds the adjustment magnitude
-    from above on both sides; minimising the weighted slack sum makes each
-    slack tight at optimality.  The rows are the "<=" rows :func:`solve_lp`
-    takes, built as one sparse block ``[S -I; -S -I]`` with right-hand side
-    ``[yhat; -yhat]``.  A box adds the row (S b)_i <= u_i per finite upper
-    bound and -(S b)_i <= -l_i per finite lower bound.  HiGHS solves the LP,
-    and the strong-duality gap that :func:`solve_lp` recomputes from the
-    returned duals is carried in ``stats.duality_gap``.
+    The adjustment of each component is split into its positive and
+    negative parts p_i, q_i >= 0, one equality row per component:
+    ``S b - p + q = yhat`` over the variables ``[b; p; q]``, with b free
+    and cost ``w`` on both p and q, so at an optimum at most one of each
+    positively weighted pair is nonzero.  A box [l, u] on S b becomes bounds on the split
+    parts, p in [max(l - yhat, 0), max(u - yhat, 0)] and q in
+    [max(yhat - u, 0), max(yhat - l, 0)]: every z = S b in [l, u] is
+    reached with p = (z - yhat)^+, q = (yhat - z)^+, and every (p, q) in
+    those bounds gives a z in [l, u].  So a box adds no row.  HiGHS solves
+    the LP, and the strong-duality gap that :func:`solve_lp` recomputes
+    from the returned duals is carried in ``stats.duality_gap``.
     """
     t0 = time.perf_counter()
     y = _as_component_vector(yhat, agg.n)
@@ -362,25 +366,21 @@ def reconcile_l1(
     np_ = agg.n_paths
     loss = LossSpec("l1", weights=weights)
     w = loss.resolved_weights(n)
-    if box is not None and box.lower.shape != (n,):
+    if box is None:
+        box = BoxConstraints.unbounded(n)
+    elif box.lower.shape != (n,):
         raise DimensionMismatch(f"box bounds must have length {n}")
 
-    s = agg.matrix
     eye = sp.identity(n, format="csr")
-    # (S b)_i - s_i <= yhat_i  and  -(S b)_i - s_i <= -yhat_i
-    blocks = [[s, -eye], [-s, -eye]]
-    rhs = [y, -y]
-    if box is not None:
-        for sign, bound in ((1.0, box.upper), (-1.0, box.lower)):
-            rows = np.flatnonzero(np.isfinite(bound))
-            if rows.size:
-                blocks.append([sign * s[rows], sp.csr_matrix((rows.size, n))])
-                rhs.append(sign * bound[rows])
-    a_ub = sp.bmat(blocks, format="csr")
-
-    cost = np.concatenate([np.zeros(np_), w])
-    lower = np.concatenate([np.full(np_, -np.inf), np.zeros(n)])
-    sol = solve_lp(cost, a_ub, np.concatenate(rhs), lower)
+    a_eq = sp.hstack([agg.matrix, -eye, eye], format="csr")
+    cost = np.concatenate([np.zeros(np_), w, w])
+    lower = np.concatenate(
+        [np.full(np_, -np.inf), np.maximum(box.lower - y, 0.0), np.maximum(y - box.upper, 0.0)]
+    )
+    upper = np.concatenate(
+        [np.full(np_, np.inf), np.maximum(box.upper - y, 0.0), np.maximum(y - box.lower, 0.0)]
+    )
+    sol = solve_lp(cost, a_eq, y, lower, upper)
     b = sol.x[:np_]
     wall = time.perf_counter() - t0
     stats = SolverStats(

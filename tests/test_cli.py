@@ -304,6 +304,21 @@ class TestReconcileErrors:
         assert "inf" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_l1_entry_highs_reads_as_infinite_exit_2(self, tmp_path, chain_net, capsys):
+        # A finite forecast of 1e20 is bad input (HiGHS would read it as
+        # infinite), not an infeasible LP (exit 3).
+        base = CHAIN_BASE.copy()
+        base[1] = 1e20
+        net_path, fc_path = stage(tmp_path, chain_net, base)
+        out = tmp_path / "o.csv"
+        rc = main(
+            ["reconcile", "--network", net_path, "--forecast", fc_path,
+             "--loss", "l1", "--out", str(out)]
+        )
+        assert rc == 2
+        assert "1e20" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_colliding_edge_ids_exit_2(self, tmp_path, capsys):
         net = Network(["a->b", "c", "a", "b->c"], [("a->b", "c"), ("a", "b->c")], [(0,), (1,)])
         net_path = tmp_path / "net.json"

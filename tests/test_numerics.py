@@ -222,15 +222,27 @@ class TestSolveSpdBlock:
         assert info.columns == ()
 
 
+def _with_slacks(c, a_ub, b_ub, lower):
+    """solve_lp arguments for min c @ x s.t. a_ub @ x <= b_ub, x >= lower.
+
+    Each row gets its own slack column, bounded below at 0, so the row
+    reads a_ub[i] @ x + s_i == b_ub[i].
+    """
+    a_ub = np.asarray(a_ub, dtype=float)
+    nr, nv = a_ub.shape
+    return dict(
+        c=np.concatenate([c, np.zeros(nr)]),
+        a_eq=np.hstack([a_ub, np.eye(nr)]),
+        b_eq=np.asarray(b_ub, dtype=float),
+        lower=np.concatenate([lower, np.zeros(nr)]),
+        upper=np.full(nv + nr, np.inf),
+    )
+
+
 class TestSolveLp:
     def test_single_lower_bounded_variable(self):
         # x >= 3 as the row -x <= -3.
-        sol = solve_lp(
-            c=np.array([1.0]),
-            a_ub=np.array([[-1.0]]),
-            b_ub=np.array([-3.0]),
-            lower=np.array([0.0]),
-        )
+        sol = solve_lp(**_with_slacks(np.array([1.0]), [[-1.0]], [-3.0], np.array([0.0])))
         assert sol.x[0] == pytest.approx(3.0, abs=1e-9)
         assert sol.objective == pytest.approx(3.0, abs=1e-9)
         assert sol.duality_gap <= 1e-7
@@ -238,56 +250,48 @@ class TestSolveLp:
     def test_absolute_value_gadget(self):
         # min s subject to s >= 5 - y and s >= y - 5 with y free.
         sol = solve_lp(
-            c=np.array([0.0, 1.0]),
-            a_ub=np.array([[-1.0, -1.0], [1.0, -1.0]]),
-            b_ub=np.array([-5.0, 5.0]),
-            lower=np.array([-np.inf, 0.0]),
+            **_with_slacks(
+                np.array([0.0, 1.0]),
+                [[-1.0, -1.0], [1.0, -1.0]],
+                [-5.0, 5.0],
+                np.array([-np.inf, 0.0]),
+            )
         )
         assert sol.x[0] == pytest.approx(5.0, abs=1e-9)
         assert sol.x[1] == pytest.approx(0.0, abs=1e-9)
         assert sol.duality_gap <= 1e-7
 
     def test_equality_rows(self):
-        # x1 + x2 = 4 and x1 - x2 = 0, each as a pair of opposite rows.
+        # x1 + x2 = 4 and x1 - x2 = 0.
         sol = solve_lp(
             c=np.array([1.0, 1.0]),
-            a_ub=np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]]),
-            b_ub=np.array([4.0, -4.0, 0.0, 0.0]),
-            lower=np.array([0.0, 0.0]),
+            a_eq=np.array([[1.0, 1.0], [1.0, -1.0]]),
+            b_eq=np.array([4.0, 0.0]),
+            lower=np.zeros(2),
+            upper=np.full(2, np.inf),
         )
         assert np.allclose(sol.x, [2.0, 2.0], atol=1e-9)
 
     def test_redundant_rows_are_tolerated(self):
-        # Three equalities, two of them repeats of the first, as pairs of rows.
-        a = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
-        b = np.array([4.0, 4.0, 8.0])
+        # Three equalities, two of them repeats of the first.
         sol = solve_lp(
             c=np.array([1.0, 1.0]),
-            a_ub=np.vstack([a, -a]),
-            b_ub=np.concatenate([b, -b]),
-            lower=np.array([0.0, 0.0]),
+            a_eq=np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]),
+            b_eq=np.array([4.0, 4.0, 8.0]),
+            lower=np.zeros(2),
+            upper=np.full(2, np.inf),
         )
         assert sol.objective == pytest.approx(4.0, abs=1e-9)
         assert sol.duality_gap <= 1e-7
 
     def test_unbounded(self):
         with pytest.raises(Unbounded):
-            solve_lp(
-                c=np.array([-1.0]),
-                a_ub=np.array([[-1.0]]),
-                b_ub=np.array([0.0]),
-                lower=np.array([0.0]),
-            )
+            solve_lp(**_with_slacks(np.array([-1.0]), [[-1.0]], [0.0], np.array([0.0])))
 
     def test_infeasible(self):
         # x <= -1 and x >= 1.
         with pytest.raises(Infeasible):
-            solve_lp(
-                c=np.array([1.0]),
-                a_ub=np.array([[1.0], [-1.0]]),
-                b_ub=np.array([-1.0, -1.0]),
-                lower=np.array([-np.inf]),
-            )
+            solve_lp(**_with_slacks(np.array([1.0]), [[1.0], [-1.0]], [-1.0, -1.0], np.array([-np.inf])))
 
     def test_cycling_prone_degenerate_problem(self):
         # Degenerate instance known to cycle under naive pivoting; the
@@ -326,10 +330,12 @@ class TestSolveLp:
             row[2 + i] = -1.0
             rows.append(row), rhs.append(-yhat[i])
         sol = solve_lp(
-            c=np.concatenate([np.zeros(2), np.ones(n)]),
-            a_ub=np.vstack(rows),
-            b_ub=np.array(rhs),
-            lower=np.concatenate([np.full(2, -np.inf), np.zeros(n)]),
+            **_with_slacks(
+                np.concatenate([np.zeros(2), np.ones(n)]),
+                np.vstack(rows),
+                rhs,
+                np.concatenate([np.full(2, -np.inf), np.zeros(n)]),
+            )
         )
 
         def objective(point):
@@ -347,14 +353,11 @@ class TestSolveLp:
         assert sol.duality_gap <= 1e-7
 
     def test_sparse_matrix_matches_dense(self):
-        a = np.array([[-1.0, -1.0], [1.0, -1.0]])
-        kwargs = dict(
-            c=np.array([0.0, 1.0]),
-            b_ub=np.array([-5.0, 5.0]),
-            lower=np.array([-np.inf, 0.0]),
+        kwargs = _with_slacks(
+            np.array([0.0, 1.0]), [[-1.0, -1.0], [1.0, -1.0]], [-5.0, 5.0], np.array([-np.inf, 0.0])
         )
-        dense = solve_lp(a_ub=a, **kwargs)
-        sparse = solve_lp(a_ub=sp.csr_matrix(a), **kwargs)
+        dense = solve_lp(**kwargs)
+        sparse = solve_lp(**dict(kwargs, a_eq=sp.csr_matrix(kwargs["a_eq"])))
         assert np.allclose(sparse.x, dense.x, atol=1e-12)
         assert sparse.duality_gap <= 1e-7
 
@@ -362,7 +365,10 @@ class TestSolveLp:
         with pytest.raises(CyclingDetected):
             solve_lp(**_DEGENERATE_LP, max_pivots=0)
 
-    @pytest.mark.parametrize("field, value", [("c", np.zeros(3)), ("b_ub", np.zeros(2)), ("lower", np.zeros(2))])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("c", np.zeros(3)), ("b_eq", np.zeros(2)), ("lower", np.zeros(2)), ("upper", np.zeros(2))],
+    )
     def test_rejects_inconsistent_shapes(self, field, value):
         kwargs = dict(_DEGENERATE_LP, **{field: value})
         with pytest.raises(DimensionMismatch):
@@ -370,11 +376,31 @@ class TestSolveLp:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_nan_or_plus_inf_lower_bound(self, bad):
+        lower = _DEGENERATE_LP["lower"].copy()
+        lower[2] = bad
         with pytest.raises(BadParameter):
-            solve_lp(**dict(_DEGENERATE_LP, lower=np.array([0.0, 0.0, bad, 0.0])))
+            solve_lp(**dict(_DEGENERATE_LP, lower=lower))
 
-    def _tampered(self, monkeypatch, tamper):
-        """min x subject to x >= 3, through the real linprog with its result edited."""
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, -1.0], ids=["nan", "minus-inf", "below-lower"])
+    def test_rejects_upper_bound_no_value_meets(self, bad):
+        upper = _DEGENERATE_LP["upper"].copy()
+        upper[2] = bad
+        with pytest.raises(BadParameter):
+            solve_lp(**dict(_DEGENERATE_LP, upper=upper))
+
+    @pytest.mark.parametrize(
+        "field, value", [("c", 1e20), ("c", -1e20), ("b_eq", 1e20), ("lower", -1e20), ("upper", 1e20)]
+    )
+    def test_rejects_entries_highs_reads_as_infinite(self, field, value):
+        # HiGHS reads |v| >= 1e20 as infinite and answers "model error",
+        # which must not pass for infeasibility.
+        values = _DEGENERATE_LP[field].copy()
+        values[0] = value
+        with pytest.raises(BadParameter, match="1e20"):
+            solve_lp(**dict(_DEGENERATE_LP, **{field: values}))
+
+    def _tampered(self, monkeypatch, tamper, **lp):
+        """solve_lp through the real linprog with its result edited by ``tamper``."""
         import scipy.optimize
 
         real = scipy.optimize.linprog
@@ -386,43 +412,89 @@ class TestSolveLp:
 
         monkeypatch.setattr(scipy.optimize, "linprog", fake)
         try:
-            return solve_lp(
-                c=np.array([1.0]),
-                a_ub=np.array([[-1.0]]),
-                b_ub=np.array([-3.0]),
-                lower=np.array([0.0]),
-            )
+            return solve_lp(**lp)
         finally:
             monkeypatch.undo()
 
     def test_certificate_is_recomputed_not_trusted(self, monkeypatch):
-        honest = self._tampered(monkeypatch, lambda res: None)
+        # min x subject to x >= 3.
+        lp = _with_slacks(np.array([1.0]), [[-1.0]], [-3.0], np.array([0.0]))
+        honest = self._tampered(monkeypatch, lambda res: None, **lp)
         assert honest.duality_gap <= 1e-7
         assert honest.dual_infeasibility <= 1e-7
 
         def move_x(res):
-            res.x = res.x + 1.0  # feasible, one above the optimum
+            res.x = res.x + 1.0  # one above the optimum
 
-        assert self._tampered(monkeypatch, move_x).duality_gap > 1e-7
+        assert self._tampered(monkeypatch, move_x, **lp).duality_gap > 1e-7
 
         def flip_duals(res):
-            res.ineqlin.marginals = -res.ineqlin.marginals
+            res.eqlin.marginals = -res.eqlin.marginals
 
-        assert self._tampered(monkeypatch, flip_duals).dual_infeasibility > 0
+        assert self._tampered(monkeypatch, flip_duals, **lp).dual_infeasibility > 0
+
+    def test_certificate_counts_active_upper_bounds(self, monkeypatch):
+        # min -x subject to x + s = 10, 0 <= x <= 3, s >= 0: x stops at its
+        # upper bound 3, the row dual is 0, and the dual objective -3 comes
+        # from the term u_x * min(r_x, 0) alone.
+        lp = dict(
+            c=np.array([-1.0, 0.0]),
+            a_eq=np.array([[1.0, 1.0]]),
+            b_eq=np.array([10.0]),
+            lower=np.zeros(2),
+            upper=np.array([3.0, np.inf]),
+        )
+        honest = self._tampered(monkeypatch, lambda res: None, **lp)
+        assert honest.x == pytest.approx([3.0, 7.0], abs=1e-9)
+        assert honest.objective == pytest.approx(-3.0, abs=1e-9)
+        assert honest.duality_gap <= 1e-7
+        assert honest.dual_infeasibility <= 1e-7
+
+        def move_x(res):
+            res.x = res.x + np.array([-1.0, 1.0])  # feasible, one below the optimum
+
+        assert self._tampered(monkeypatch, move_x, **lp).duality_gap > 1e-7
+
+        def shift_duals(res):
+            res.eqlin.marginals = res.eqlin.marginals - 2.0  # sign-feasible, not optimal
+
+        shifted = self._tampered(monkeypatch, shift_duals, **lp)
+        assert shifted.dual_infeasibility <= 1e-7
+        assert shifted.duality_gap > 1e-7
+
+    @pytest.mark.parametrize("dual, expected", [(0.5, 0.5), (2.0, 1.0)], ids=["positive", "negative"])
+    def test_free_variable_reduced_cost_is_dual_infeasible(self, monkeypatch, dual, expected):
+        # min x subject to x - s = 3, x free, s >= 0: the row dual is 1 and
+        # x's reduced cost 1 - y vanishes.  Any other dual leaves a nonzero
+        # reduced cost on the free variable, of either sign.
+        lp = dict(
+            c=np.array([1.0, 0.0]),
+            a_eq=np.array([[1.0, -1.0]]),
+            b_eq=np.array([3.0]),
+            lower=np.array([-np.inf, 0.0]),
+            upper=np.full(2, np.inf),
+        )
+        honest = self._tampered(monkeypatch, lambda res: None, **lp)
+        assert honest.dual_infeasibility <= 1e-7
+
+        def set_dual(res):
+            res.eqlin.marginals = np.array([dual])
+
+        tampered = self._tampered(monkeypatch, set_dual, **lp)
+        assert tampered.dual_infeasibility == pytest.approx(expected)
 
 
 # Degenerate instance known to cycle under naive pivoting; optimum -1/20.
-_DEGENERATE_LP = dict(
-    c=np.array([-0.75, 150.0, -0.02, 6.0]),
-    a_ub=np.array(
-        [
-            [0.25, -60.0, -0.04, 9.0],
-            [0.5, -90.0, -0.02, 3.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ]
-    ),
-    b_ub=np.array([0.0, 0.0, 1.0]),
-    lower=np.zeros(4),
+# Its three "<=" rows carry the slack columns 4-6.
+_DEGENERATE_LP = _with_slacks(
+    np.array([-0.75, 150.0, -0.02, 6.0]),
+    [
+        [0.25, -60.0, -0.04, 9.0],
+        [0.5, -90.0, -0.02, 3.0],
+        [0.0, 0.0, 1.0, 0.0],
+    ],
+    [0.0, 0.0, 1.0],
+    np.zeros(4),
 )
 
 

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
+import flowrec.reconcile
 from flowrec import (
     BadParameter,
     BoxConstraints,
@@ -23,9 +26,36 @@ from flowrec import (
     reconcile_relaxed,
     reconcile_weighted,
 )
-from flowrec.numerics import SparseSpd
+from flowrec.numerics import SparseSpd, solve_lp
 
 from conftest import coherent_distribution_vector, random_instance
+
+
+def row_form_l1_optimum(yhat, s, box):
+    """min sum |S b - yhat| over S b in the box, in the "<=" row form.
+
+    A reference for ``reconcile_l1``'s split form: one slack per component
+    bounds its adjustment on both sides, rows [S -I; -S -I] over [b; slack]
+    with right-hand side [yhat; -yhat], plus one row per finite box bound,
+    solved by linprog.
+    """
+    n, k = s.shape
+    eye = sp.identity(n, format="csr")
+    blocks, rhs = [[s, -eye], [-s, -eye]], [yhat, -yhat]
+    if box is not None:
+        for sign, bound in ((1.0, box.upper), (-1.0, box.lower)):
+            rows = np.flatnonzero(np.isfinite(bound))
+            blocks.append([sign * s[rows], sp.csr_matrix((rows.size, n))])
+            rhs.append(sign * bound[rows])
+    res = linprog(
+        np.concatenate([np.zeros(k), np.ones(n)]),
+        A_ub=sp.bmat(blocks, format="csr"),
+        b_ub=np.concatenate(rhs),
+        bounds=[(None, None)] * k + [(0, None)] * n,
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return res.fun
 
 
 def chain_outlier_vector(chain_agg):
@@ -252,6 +282,69 @@ class TestAbsoluteDeviation:
         box = BoxConstraints(lower=lower, upper=upper)
         with pytest.raises(Infeasible):
             reconcile_l1(y, chain_agg, box=box)
+
+    @pytest.mark.parametrize(
+        "middle, lower, upper, b, loss",
+        [(10.0, 2.0, 3.0, 3.0, 12.0), (-2.0, 5.0, 6.0, 5.0, 12.0), (10.0, 2.0, 12.0, 4.0, 6.0)],
+        ids=["forecast-above-upper", "forecast-below-lower", "forecast-inside"],
+    )
+    def test_two_sided_box_on_the_outlier(self, chain_agg, middle, lower, upper, b, loss):
+        # All components 4 except the middle node, which is boxed on both
+        # sides; the objective is 5|b-4| + |b-middle| over b in [lower, upper].
+        y = np.full(6, 4.0)
+        y[1] = middle
+        lo = np.full(6, -np.inf)
+        hi = np.full(6, np.inf)
+        lo[1], hi[1] = lower, upper
+        result = reconcile_l1(y, chain_agg, box=BoxConstraints(lower=lo, upper=hi))
+        assert result.b_tilde == pytest.approx([b], abs=1e-9)
+        assert result.loss_value == pytest.approx(loss, abs=1e-9)
+        assert result.stats.duality_gap <= 1e-7
+
+    def test_matches_the_row_form_lp_with_and_without_a_box(self):
+        binding = 0
+        for seed in range(10):
+            inst = random_instance(nodes=12, seed=seed + 700)
+            n = inst.agg.n
+            rng = np.random.default_rng(seed)
+            truth = inst.y_true.data
+            box = BoxConstraints(
+                lower=np.where(rng.random(n) < 0.3, truth - 0.25, -np.inf),
+                upper=np.where(rng.random(n) < 0.3, truth + 0.25, np.inf),
+            )
+            free = None
+            for bx in (None, box):
+                result = reconcile_l1(inst.y_base.data, inst.agg, box=bx)
+                f = row_form_l1_optimum(inst.y_base.data, inst.agg.matrix, bx)
+                assert abs(result.loss_value - f) <= 1e-9 * (1 + f)
+                assert result.stats.duality_gap <= 1e-7
+                if bx is None:
+                    free = f
+            binding += f > free + 1e-9
+        assert binding >= 3  # the boxes must bite, or the box cases test nothing
+
+    def test_a_box_adds_no_row(self, monkeypatch):
+        inst = random_instance(nodes=10, seed=41)
+        n, k = inst.agg.n, inst.agg.n_paths
+        shapes = []
+
+        def spy(c, a_eq, *args, **kwargs):
+            shapes.append(a_eq.shape)
+            return solve_lp(c, a_eq, *args, **kwargs)
+
+        monkeypatch.setattr(flowrec.reconcile, "solve_lp", spy)
+        truth = inst.y_true.data
+        reconcile_l1(inst.y_base.data, inst.agg, box=BoxConstraints(truth - 0.5, truth + 0.5))
+        assert shapes == [(n, k + 2 * n)]
+
+    def test_huge_finite_forecast_is_a_bad_parameter(self, chain_agg):
+        # HiGHS reads 1e20 as infinite and reports a model error.  With no
+        # box the LP is always feasible, so this is bad input, not an
+        # infeasible problem.
+        y = np.full(6, 4.0)
+        y[1] = 1e20
+        with pytest.raises(BadParameter, match="1e20"):
+            reconcile_l1(y, chain_agg)
 
     def test_crossed_bounds_rejected_at_construction(self):
         with pytest.raises(BadParameter):
