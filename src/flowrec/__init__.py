@@ -46,7 +46,6 @@ from .errors import (
     Disconnected,
     DuplicateId,
     EdgeExists,
-    EmptySeries,
     FlowRecError,
     Infeasible,
     InfeasibleTopology,
@@ -55,7 +54,6 @@ from .errors import (
     NoConvergence,
     NonSmoothLoss,
     NotPositiveDefinite,
-    NotSpd,
     RankDeficient,
     SolveFailure,
     SolverError,
@@ -78,7 +76,6 @@ from .fileio import (
     write_forecast,
     write_network,
 )
-from .forecasters import ForecastSpec, forecast
 from .network import NODE_ROLES, FlowAggregationMatrix, IndexMap, Network
 from .reconcile import (
     BoxConstraints,
@@ -97,8 +94,6 @@ from .relaxed import reconcile_relaxed
 from .series import (
     CoherenceReport,
     ForecastVector,
-    HierarchicalSeries,
-    aggregate_bottom,
     check_coherence,
     default_tolerance,
     node_imbalance,

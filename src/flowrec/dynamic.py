@@ -14,7 +14,8 @@ Three situations are covered:
 Both edge edits derive the updated network and its aggregation operator
 from the current ones (``Network._edit``) instead of rebuilding them: the
 Python work grows with the affected paths, plus O(nnz) array work on the
-operator and one O(nnz) coherence pass on the prior vector.
+operator, one O(nnz) coherence pass on the prior vector and one O(nnz)
+lift of the updated path values through the new operator.
 """
 
 from __future__ import annotations
@@ -83,9 +84,9 @@ def add_edge_update(
     The shortfall between the edge forecast and what the supplied paths
     already carry is split equally: with k new paths each gains
     (forecast - sum of initial values) / k, which is the minimum-movement
-    adjustment meeting the edge total under any symmetric penalty.  Node
-    and edge aggregates along the new paths are updated incrementally, so
-    the vector work is linear in the total length of the affected paths.
+    adjustment meeting the edge total under any symmetric penalty.  The
+    returned vector is the updated operator applied to the path values,
+    the kept ones followed by the new ones, so it is exactly S·b.
 
     Args:
         net: current network; must not already contain ``edge``.
@@ -139,20 +140,7 @@ def add_edge_update(
     adjustment = delta / k
     values = init + adjustment
 
-    n_new = imap.n + 1 + k
-    out = np.empty(n_new)
-    node_block = out[: imap.n_nodes]
-    node_block[:] = y[imap.node_slice]
-    edge_block = out[imap.n_nodes : imap.n_nodes + imap.n_edges + 1]
-    edge_block[: imap.n_edges] = y[imap.edge_slice]
-    edge_block[imap.n_edges] = 0.0
-    path_block = out[imap.n_nodes + imap.n_edges + 1 :]
-    path_block[: imap.n_paths] = y[imap.path_slice]
-    path_block[imap.n_paths :] = values
-
-    for p, nodes, val in zip(paths, updated.path_nodes[imap.n_paths :], values):
-        edge_block[list(p)] += val
-        node_block[list(nodes)] += val
+    out = updated.aggregation.aggregate(np.concatenate([y[imap.path_slice], values]))
 
     return EdgeAdditionResult(
         network=updated,

@@ -56,10 +56,6 @@ class DimensionMismatch(ValidationError):
     """A vector's length does not match the network's component count."""
 
 
-class EmptySeries(ValidationError):
-    """A series has fewer observations than the operation needs."""
-
-
 class BadParameter(ValidationError):
     """A numeric or enum parameter is outside its allowed range."""
 
@@ -72,10 +68,6 @@ class IoFailure(ValidationError):
 
 class NotPositiveDefinite(SolverError):
     """The matrix is not symmetric positive definite."""
-
-
-# The closed-form solver reports a bad weight matrix under this name.
-NotSpd = NotPositiveDefinite
 
 
 class RankDeficient(SolverError):

@@ -150,23 +150,17 @@ def component_ids(net: Network) -> list[str]:
 
 
 def component_index(net: Network, kind: str, ident: str) -> int:
-    """Global index of the component named ``ident`` of the given kind."""
-    imap = net.index_map
-    if kind == "node":
-        if ident in net.node_index:
-            return imap.global_index("node", net.node_index[ident])
-    elif kind == "edge":
-        ids = _edge_ids(net)
-        if ident in ids:
-            return imap.global_index("edge", ids.index(ident))
-    elif kind == "path":
-        if ident.startswith("P") and ident[1:].isdigit():
-            j = int(ident[1:])
-            if j < len(net.paths):
-                return imap.global_index("path", j)
-    else:
+    """Global index of the component named ``ident`` of the given kind.
+
+    The id is looked up in the table the CSV readers use, so it resolves
+    exactly when a forecast file may name it.
+    """
+    if kind not in _KINDS:
         raise UnknownComponent(f"unknown component kind {kind!r}")
-    raise UnknownComponent(f"no {kind} with id {ident!r}")
+    index = _id_table(net).get((kind, ident))
+    if index is None:
+        raise UnknownComponent(f"no {kind} with id {ident!r}")
+    return index
 
 
 def _component_keys(net: Network) -> list[tuple[str, str]]:
@@ -274,6 +268,28 @@ def read_forecast(path: str, net: Network) -> list[ForecastVector]:
     return [ForecastVector(values[h], horizon=h + 1) for h in range(horizons)]
 
 
+def _walk_rows(path: str, body, width: int, table, seen: np.ndarray):
+    """Yield ``(lineno, index, cells)`` for each ``kind,id`` row in file order.
+
+    Raises IoFailure for the first row with the wrong field count, an
+    unknown kind or id, or a component already marked in ``seen``; marks
+    each yielded component there.  ``cells`` are the fields after the id.
+    """
+    for lineno, row in enumerate(body, start=2):
+        if len(row) != width:
+            raise IoFailure(f"{path} row {lineno}: expected {width} fields, got {len(row)}")
+        kind, ident = row[0], row[1]
+        if kind not in _KINDS:
+            raise IoFailure(f"{path} row {lineno}: unknown kind {kind!r}")
+        i = table.get((kind, ident))
+        if i is None:
+            raise IoFailure(f"{path} row {lineno}: no {kind} with id {ident!r}")
+        if seen[i]:
+            raise IoFailure(f"{path} row {lineno}: duplicate entry for {kind} {ident!r}")
+        seen[i] = True
+        yield lineno, i, row[2:]
+
+
 def _raise_row_error(path: str, body, horizons: int, net: Network, table) -> NoReturn:
     """Walk the rows in file order and raise for the first bad one.
 
@@ -281,22 +297,8 @@ def _raise_row_error(path: str, body, horizons: int, net: Network, table) -> NoR
     some row, or a component missing from every row, is at fault.
     """
     seen = np.zeros(net.index_map.n, dtype=bool)
-    for lineno, row in enumerate(body, start=2):
-        if len(row) != 2 + horizons:
-            raise IoFailure(
-                f"{path} row {lineno}: expected {2 + horizons} fields, got {len(row)}"
-            )
-        kind, ident = row[0], row[1]
-        if kind not in _KINDS:
-            raise IoFailure(f"{path} row {lineno}: unknown kind {kind!r}")
-        key = (kind, ident)
-        if key not in table:
-            raise IoFailure(f"{path} row {lineno}: no {kind} with id {ident!r}")
-        i = table[key]
-        if seen[i]:
-            raise IoFailure(f"{path} row {lineno}: duplicate entry for {kind} {ident!r}")
-        seen[i] = True
-        for cell in row[2:]:
+    for lineno, _, cells in _walk_rows(path, body, 2 + horizons, table, seen):
+        for cell in cells:
             try:
                 v = float(cell)
             except ValueError:
@@ -342,21 +344,8 @@ def read_box(path: str, net: Network) -> BoxConstraints:
     n = net.index_map.n
     lower = np.full(n, -np.inf)
     upper = np.full(n, np.inf)
-    seen = np.zeros(n, dtype=bool)
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 4:
-            raise IoFailure(f"{path} row {lineno}: expected 4 fields, got {len(row)}")
-        kind, ident, lo_s, hi_s = row
-        key = (kind, ident)
-        if kind not in _KINDS:
-            raise IoFailure(f"{path} row {lineno}: unknown kind {kind!r}")
-        if key not in table:
-            raise IoFailure(f"{path} row {lineno}: no {kind} with id {ident!r}")
-        i = table[key]
-        if seen[i]:
-            raise IoFailure(f"{path} row {lineno}: duplicate bound for {kind} {ident!r}")
-        seen[i] = True
-        for s, arr in ((lo_s, lower), (hi_s, upper)):
+    for lineno, i, cells in _walk_rows(path, rows[1:], 4, table, np.zeros(n, dtype=bool)):
+        for s, arr in zip(cells, (lower, upper)):
             if s.strip() == "":
                 continue
             try:

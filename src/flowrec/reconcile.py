@@ -38,7 +38,7 @@ from .errors import (
     BadParameter,
     DimensionMismatch,
     NonSmoothLoss,
-    NotSpd,
+    NotPositiveDefinite,
     RankDeficient,
 )
 from .network import FlowAggregationMatrix
@@ -299,7 +299,7 @@ def reconcile_weighted(yhat, a: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.
             length-n vector of diagonal weights.
 
     Raises:
-        NotSpd: w is not symmetric positive definite.
+        NotPositiveDefinite: w is not symmetric positive definite.
         RankDeficient: the constraint rows are linearly dependent.
     """
     y = np.asarray(getattr(yhat, "data", yhat), dtype=float)
@@ -315,11 +315,11 @@ def reconcile_weighted(yhat, a: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.
         )
     scale = float(np.abs(w).max())
     if scale <= 0 or np.abs(w - w.T).max() > 1e-12 * max(1.0, scale):
-        raise NotSpd("weight matrix is not symmetric")
+        raise NotPositiveDefinite("weight matrix is not symmetric")
     try:
         w_chol = scipy.linalg.cho_factor(w, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
-        raise NotSpd(f"weight matrix is not positive definite: {exc}") from exc
+        raise NotPositiveDefinite(f"weight matrix is not positive definite: {exc}") from exc
     # X = W^{-1} A^T, then the multiplier system (A W^{-1} A^T) l = A yhat - c.
     x = scipy.linalg.cho_solve(w_chol, a.T, check_finite=False)
     m = a @ x

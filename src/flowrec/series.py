@@ -1,10 +1,8 @@
-"""Vectors and time series aligned to a network's component layout.
+"""Vectors aligned to a network's component layout.
 
-All data in this package is carried either as a :class:`ForecastVector`
-(one value per component, canonical [nodes; edges; paths] order) or a
-:class:`HierarchicalSeries` (a time-indexed stack of such vectors).
-Coherence checking lives here too: it measures how far a vector is from
-the aggregation-consistent subspace.
+A :class:`ForecastVector` carries one value per component in canonical
+[nodes; edges; paths] order.  Coherence checking lives here too: it
+measures how far a vector is from the aggregation-consistent subspace.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadParameter, DimensionMismatch, EmptySeries
+from .errors import BadParameter, DimensionMismatch
 from .network import FlowAggregationMatrix, IndexMap
 
 
@@ -41,8 +39,8 @@ class ForecastVector:
     Args:
         data: length-n float array in canonical [nodes; edges; paths] order.
         horizon: steps ahead this vector refers to (1 = next step).
-        origin: index of the last observation the forecast was made from,
-            or None when the vector is not tied to a series.
+        origin: the caller's label for where the forecast came from, or
+            None; reconcilers and edge edits carry it through unchanged.
     """
 
     data: np.ndarray
@@ -60,44 +58,6 @@ class ForecastVector:
 
     def __len__(self) -> int:
         return self.data.shape[0]
-
-
-@dataclass
-class HierarchicalSeries:
-    """Observations over time for every component of one network.
-
-    Args:
-        timestamps: strictly increasing 1-D array.
-        values: array of shape (T, n), row t holding the component vector
-            observed at ``timestamps[t]``.
-    """
-
-    timestamps: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.timestamps = np.asarray(self.timestamps)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.timestamps.ndim != 1:
-            raise BadParameter("timestamps must be 1-D")
-        if self.timestamps.size == 0:
-            raise EmptySeries("a series needs at least one observation")
-        if np.any(np.diff(self.timestamps.astype(float)) <= 0):
-            raise BadParameter("timestamps must be strictly increasing")
-        if self.values.ndim != 2 or self.values.shape[0] != self.timestamps.shape[0]:
-            raise DimensionMismatch(
-                f"values must have shape (T, n) with T = {self.timestamps.shape[0]}, "
-                f"got {self.values.shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise BadParameter("series contains NaN or infinite entries")
-
-    @property
-    def n_components(self) -> int:
-        return self.values.shape[1]
-
-    def __len__(self) -> int:
-        return self.timestamps.shape[0]
 
 
 @dataclass
@@ -156,12 +116,6 @@ def check_coherence(
         node_residuals=node_res,
         edge_residuals=edge_res,
     )
-
-
-def aggregate_bottom(path_values, agg: FlowAggregationMatrix) -> ForecastVector:
-    """Build the unique coherent stack that carries the given path values."""
-    b = np.asarray(getattr(path_values, "data", path_values), dtype=float)
-    return ForecastVector(agg.aggregate(b))
 
 
 def node_imbalance(values, net) -> np.ndarray:

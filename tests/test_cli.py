@@ -528,6 +528,15 @@ class TestCheckUpdateCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_non_ascii_digit_path_id_exits_2(self, staged, capsys):
+        net_path, fc_path, rec_path, _ = staged
+        rc = main(
+            ["update", "check-update", "--network", net_path, "--reconciled", rec_path,
+             "--forecast", fc_path, "--kind", "path", "--id", "P²", "--value", "1"]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: no path with id 'P²'\n"
+
 
 # ---------------------------------------------------------------------------
 # benchmark

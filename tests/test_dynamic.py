@@ -157,6 +157,16 @@ class TestAddEdge:
         result = add_edge_update(fan_net, prior, ("x", "t"), 9.0, FAN_NEW_PATHS)
         assert (result.y_tilde.horizon, result.y_tilde.origin) == (3, 41)
 
+    def test_output_is_the_lift_of_its_path_values(self, fan_net, fan_vector):
+        # Coherent only within the default tolerance: node s is 1e-9 off.
+        prior = fan_vector.copy()
+        prior[fan_net.node_index["s"]] += 1e-9
+        result = add_edge_update(fan_net, prior, ("x", "t"), 9.0, FAN_NEW_PATHS)
+        agg = FlowAggregationMatrix.from_network(result.network)
+        assert check_coherence(result.y_tilde, agg, tolerance=0.0).coherent
+        kept = result.y_tilde.data[agg.index_map.path_slice][: len(fan_net.paths)]
+        assert np.array_equal(kept, prior[fan_net.index_map.path_slice])
+
     def test_duplicate_paths_rejected(self, fan_net, fan_vector):
         with pytest.raises(DuplicateId):
             add_edge_update(fan_net, fan_vector, ("x", "t"), 9.0, [(0, 3, 6), (0, 3, 6)])

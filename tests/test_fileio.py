@@ -112,6 +112,13 @@ class TestComponentIds:
         with pytest.raises(UnknownComponent):
             component_index(chain_net, "blob", "s")
 
+    def test_path_ids_are_the_readers_ids(self, distribution_net):
+        # str.isdigit accepts all three and int() reads two of them, but no
+        # CSV reader does: P01 is not P1, and only ASCII digits name a path.
+        for ident in ("P²", "P01", "P٢"):
+            with pytest.raises(UnknownComponent, match=f"^no path with id '{ident}'$"):
+                component_index(distribution_net, "path", ident)
+
     def test_colliding_edge_ids_are_refused_before_any_file_is_touched(self, tmp_path):
         # Node names may contain "->": both edges spell the id a->b->c.
         net = Network(["a->b", "c", "a", "b->c"], [("a->b", "c"), ("a", "b->c")], [(0,), (1,)])

@@ -15,7 +15,7 @@ from flowrec import (
     LossSpec,
     Network,
     NonSmoothLoss,
-    NotSpd,
+    NotPositiveDefinite,
     RankDeficient,
     check_coherence,
     coherence_constraints,
@@ -121,7 +121,7 @@ class TestWeightedProjection:
 
     def test_indefinite_weight_matrix_rejected(self):
         a = np.array([[1.0, 1.0]])
-        with pytest.raises(NotSpd):
+        with pytest.raises(NotPositiveDefinite):
             reconcile_weighted(np.array([3.0, 5.0]), a, np.array([10.0]), np.diag([1.0, -4.0]))
 
     def test_dependent_inconsistent_constraints_rejected(self):

@@ -1,4 +1,4 @@
-"""Component vectors, series containers, and coherence measurement."""
+"""Component vectors and coherence measurement."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,8 @@ import pytest
 from flowrec import (
     BadParameter,
     DimensionMismatch,
-    EmptySeries,
     FlowAggregationMatrix,
     ForecastVector,
-    HierarchicalSeries,
-    aggregate_bottom,
     check_coherence,
     default_tolerance,
     node_imbalance,
@@ -37,22 +34,10 @@ class TestContainers:
         with pytest.raises(BadParameter):
             ForecastVector(np.ones(2), horizon=0)
 
-    def test_series_validation(self):
-        s = HierarchicalSeries(np.array([0, 1, 2]), np.ones((3, 4)))
-        assert len(s) == 3 and s.n_components == 4
-        with pytest.raises(EmptySeries):
-            HierarchicalSeries(np.array([]), np.ones((0, 4)))
-        with pytest.raises(BadParameter):
-            HierarchicalSeries(np.array([0, 0]), np.ones((2, 4)))
-        with pytest.raises(DimensionMismatch):
-            HierarchicalSeries(np.array([0, 1]), np.ones((3, 4)))
-        with pytest.raises(BadParameter):
-            HierarchicalSeries(np.array([0, 1]), np.full((2, 2), np.nan))
-
 
 class TestCoherence:
     def test_aggregated_vector_is_exactly_coherent(self, parallel_agg):
-        y = aggregate_bottom(np.array([3.0, 5.0]), parallel_agg)
+        y = parallel_agg.aggregate(np.array([3.0, 5.0]))
         report = check_coherence(y, parallel_agg, tolerance=0.0)
         assert report.coherent
         assert report.max_node_residual == 0.0
@@ -60,7 +45,7 @@ class TestCoherence:
 
     def test_parallel_totals_by_hand(self, parallel_agg):
         # Path values 3 and 5: shared endpoints carry the sum, middles their own.
-        y = aggregate_bottom(np.array([3.0, 5.0]), parallel_agg)
+        y = ForecastVector(parallel_agg.aggregate(np.array([3.0, 5.0])))
         s, a, b, t = y.data[:4]
         assert (s, a, b, t) == (8.0, 3.0, 5.0, 8.0)
         assert y.data[4:8].tolist() == [3.0, 3.0, 5.0, 5.0]
@@ -76,7 +61,7 @@ class TestCoherence:
         assert y[s1] == DISTRIBUTION_FLOWS[0] + DISTRIBUTION_FLOWS[2] == 280.0
 
     def test_zero_bottom_gives_zero_vector(self, chain_agg):
-        y = aggregate_bottom(np.zeros(1), chain_agg)
+        y = ForecastVector(chain_agg.aggregate(np.zeros(1)))
         assert np.array_equal(y.data, np.zeros(6))
 
     def test_single_path_perturbation_shows_up_everywhere_it_touches(self, chain_agg):
@@ -111,7 +96,7 @@ class TestCoherence:
 
 class TestNodeImbalance:
     def test_interior_nodes_balance(self, parallel_net, parallel_agg):
-        y = aggregate_bottom(np.array([3.0, 5.0]), parallel_agg)
+        y = parallel_agg.aggregate(np.array([3.0, 5.0]))
         bal = node_imbalance(y, parallel_net)
         # a and b pass flow through; s only emits, t only absorbs.
         assert bal[parallel_net.node_index["a"]] == 0.0
