@@ -137,6 +137,42 @@ def density_for_edge_target(cfg: GeneratorConfig, target_edges: int) -> float:
     return float(min(1.0, max(0.0, u)))
 
 
+def _pair_ranks(tail: np.ndarray, head: np.ndarray, n_src: int, n_mid: int, n_snk: int):
+    """Rank of each permitted (tail, head) pair among all of them, in the
+    order source->mid, mid->mid with i < j, mid->sink.
+
+    Nodes are indexed as in :func:`generate_instance`: sources, then
+    intermediates, then sinks.
+    """
+    first = n_src * n_mid
+    i, j = tail - n_src, head - n_src
+    mid_mid = first + i * (2 * n_mid - i - 1) // 2 + (j - i - 1)
+    mid_snk = first + n_mid * (n_mid - 1) // 2 + i * n_snk + (j - n_mid)
+    return np.where(tail < n_src, tail * n_mid + j, np.where(j < n_mid, mid_mid, mid_snk))
+
+
+def _pairs_of_ranks(ranks: np.ndarray, n_src: int, n_mid: int, n_snk: int):
+    """The (tail, head) node indices of each rank of :func:`_pair_ranks`, in
+    ``nodes`` order (sources, then intermediates, then sinks)."""
+    first = n_src * n_mid
+    mids = first + n_mid * (n_mid - 1) // 2
+    tail = np.empty_like(ranks)
+    head = np.empty_like(ranks)
+    src = ranks < first
+    tail[src], head[src] = ranks[src] // n_mid, n_src + ranks[src] % n_mid
+    mid = ~src & (ranks < mids)
+    q = ranks[mid] - first
+    # Row i of the i < j block starts at i * (2 n_mid - i - 1) / 2.
+    rows = np.arange(n_mid)
+    starts = rows * (2 * n_mid - rows - 1) // 2
+    i = np.searchsorted(starts, q, side="right") - 1
+    tail[mid], head[mid] = n_src + i, n_src + i + 1 + (q - starts[i])
+    snk = ranks >= mids
+    g = ranks[snk] - mids
+    tail[snk], head[snk] = n_src + g // n_snk, n_src + n_mid + g % n_snk
+    return zip(tail.tolist(), head.tolist())
+
+
 def generate_instance(cfg: GeneratorConfig, index: int) -> BenchmarkInstance:
     """Build the ``index``-th instance of a config, deterministically.
 
@@ -176,25 +212,22 @@ def generate_instance(cfg: GeneratorConfig, index: int) -> BenchmarkInstance:
     if not any(e[0] == mids[-1] for e in edge_set if e[1] in sinks):
         add(mids[-1], sinks[int(rng.integers(n_snk))])
 
-    candidates = [
-        (s, m) for s in sources for m in mids if (s, m) not in edge_set
-    ]
-    candidates += [
-        (mids[i], mids[j])
-        for i in range(n_mid)
-        for j in range(i + 1, n_mid)
-        if (mids[i], mids[j]) not in edge_set
-    ]
-    candidates += [
-        (m, t) for m in mids for t in sinks if (m, t) not in edge_set
-    ]
     m_max = permitted_edge_count(cfg)
     u = cfg.density if cfg.density is not None else float(rng.uniform())
     m_target = int(round(cfg.nodes + u * (m_max - cfg.nodes)))
-    extra = min(max(m_target - len(edges), 0), len(candidates))
+    # The candidates are the permitted pairs not yet taken, in the order
+    # source->mid, mid->mid (i < j), mid->sink; the k-th is decoded by
+    # arithmetic rather than listed.
+    position = {v: k for k, v in enumerate(nodes)}
+    ends = np.array([(position[t], position[h]) for t, h in edges], dtype=np.int64)
+    taken = np.sort(_pair_ranks(ends[:, 0], ends[:, 1], n_src, n_mid, n_snk))
+    extra = min(max(m_target - len(edges), 0), m_max - taken.shape[0])
     if extra:
-        for k in rng.choice(len(candidates), size=extra, replace=False):
-            add(*candidates[int(k)])
+        picks = rng.choice(m_max - taken.shape[0], size=extra, replace=False)
+        # Candidate k is the k-th rank missing from ``taken``.
+        ranks = picks + np.searchsorted(taken - np.arange(taken.shape[0]), picks, side="right")
+        for t, h in _pairs_of_ranks(ranks, n_src, n_mid, n_snk):
+            add(nodes[t], nodes[h])
 
     out_edges: dict[str, list[int]] = {v: [] for v in nodes}
     for i, (t, _) in enumerate(edges):

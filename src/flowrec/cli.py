@@ -48,10 +48,10 @@ def _parse_loss(text: str, weights) -> LossSpec:
     raise BadParameter(f"--loss must be l2, l1 or huber:<delta>, got {text!r}")
 
 
-def _horizon_diagnostics(vec, res, agg) -> dict:
+def _horizon_diagnostics(vec, res, pre) -> dict:
     """One sidecar entry: a result's stats, every certificate it carries,
-    and the coherence of the forecast before and of the answer after."""
-    pre = check_coherence(vec, agg)
+    and the coherence of the forecast before (``pre``) and of the answer
+    after."""
     stats, post = res.stats, res.coherence
     diag = {
         "method": stats.method,
@@ -87,17 +87,21 @@ def _cmd_reconcile(args) -> int:
         if args.epsilon < 0:
             raise BadParameter(f"--epsilon must be >= 0, got {args.epsilon}")
 
+    panel = np.column_stack([v.data for v in vectors])
     if args.epsilon is not None:
         solved = [reconcile_relaxed(vec, agg, args.epsilon) for vec in vectors]
     elif loss.kind == "l1":
         solved = [reconcile_l1(vec, agg, box=box, weights=weights) for vec in vectors]
     elif loss.kind == "l2" and box is None:
-        # Every horizon at once: one multi-column CG over the (n, H) block.
-        solved = reconcile_general(np.column_stack([v.data for v in vectors]), agg, loss)
+        # Every horizon at once: one block CG over the (n, H) panel, one lift
+        # and one coherence check.  Each horizon meets its own certificate;
+        # with two or more, a horizon is not bitwise its one-horizon answer.
+        solved = reconcile_general(panel, agg, loss)
     else:
         solved = [reconcile_general(vec, agg, loss, box=box) for vec in vectors]
 
-    horizon_diags = [_horizon_diagnostics(vec, res, agg) for vec, res in zip(vectors, solved)]
+    pre = check_coherence(panel, agg)  # the input panel's coherence, in one check
+    horizon_diags = [_horizon_diagnostics(*entry) for entry in zip(vectors, solved, pre)]
     fileio.write_forecast(args.out, [res.y_tilde for res in solved], net)
     sidecar = args.out + ".diagnostics.json"
     fileio.write_diagnostics(sidecar, {"horizons": horizon_diags})

@@ -178,9 +178,7 @@ class Network:
     def _build_derived(self) -> None:
         self.node_index = {v: i for i, v in enumerate(self.nodes)}
         self.edge_index = {e: i for i, e in enumerate(self.edges)}
-        self.path_nodes: tuple[tuple[int, ...], ...] = tuple(
-            self._path_node_indices(p) for p in self.paths
-        )
+        self.path_nodes: tuple[tuple[int, ...], ...] = self._node_sequences(self.paths)
 
     @cached_property
     def aggregation(self) -> "FlowAggregationMatrix":
@@ -247,7 +245,7 @@ class Network:
                 raise DuplicateId(f"new path {i} repeats a path of the network")
             existing.add(p)
         net.paths = paths + new_paths
-        new_nodes = tuple(net._path_node_indices(p) for p in new_paths)
+        new_nodes = net._node_sequences(new_paths)
         net.path_nodes = path_nodes + new_nodes
 
         columns = np.flatnonzero(keep)
@@ -256,10 +254,22 @@ class Network:
         net.aggregation = FlowAggregationMatrix(vp, ep, net.index_map)
         return net
 
-    def _path_node_indices(self, path: tuple[int, ...]) -> tuple[int, ...]:
-        seq = [self.node_index[self.edges[path[0]][0]]]
-        seq.extend(self.node_index[self.edges[e][1]] for e in path)
-        return tuple(seq)
+    def _node_sequences(self, paths) -> tuple[tuple[int, ...], ...]:
+        """Each path's node indices: its first edge's tail, then every edge's head.
+
+        Built array-at-a-time over the flat edge list of ``paths``, which
+        must be valid; only the edges they use are looked up.
+        """
+        flat, ptr = _columns(paths)
+        used, where = np.unique(flat, return_inverse=True)
+        pairs = chain.from_iterable(map(self.edges.__getitem__, used.tolist()))
+        ends = np.fromiter(
+            map(self.node_index.__getitem__, pairs), dtype=np.intp, count=2 * used.shape[0]
+        ).reshape(-1, 2)
+        starts = ptr[:-1]
+        seq = np.insert(ends[where, 1], starts, ends[where[starts], 0]).tolist()
+        bounds = (ptr + np.arange(ptr.shape[0])).tolist()
+        return tuple(tuple(seq[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
 
     # -- queries ---------------------------------------------------------------
 

@@ -9,9 +9,10 @@ numerics itself:
   blocks, so the normal-equation matrix and the generalised Hessians are
   applied, never formed.  Their eigenvalues sit at or above the weight of
   the identity block, so plain CG needs no preconditioning.  The right-hand
-  side may be a vector or an (n, H) block of H of them; a block runs as one
-  lockstep CG with one operator product per step, and its
-  :class:`SpdSolveInfo` carries the totals plus one entry per column.
+  side may be a vector or an (n, H) block of H of them; a block of two or
+  more runs block CG over one shared Krylov space, one operator product on
+  a block per step, and its :class:`SpdSolveInfo` counts those steps and
+  carries one entry per column.
   :class:`SparseSpd` wraps an explicit matrix handed in from outside and
   checks its symmetry; operators built here are symmetric by construction
   and skip that check.
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from .errors import (
     BadParameter,
@@ -46,6 +48,10 @@ from .errors import (
 
 # Symmetry tolerance and line-search constants used across the kernels.
 _SYM_RTOL = 1e-12
+# Block CG drops a search direction whose distance from the span of those
+# kept is below this fraction of the longest; the pivots it compares, of
+# Z^T Z, then sit well above their rounding error.
+_DEFLATE_RTOL = 1e-6
 # HiGHS treats any value of this magnitude or more as infinite.
 _HIGHS_INF = 1e20
 _ARMIJO_C = 1e-4
@@ -88,11 +94,12 @@ class SparseSpd:
 class SpdSolveInfo:
     """How a conjugate-gradient solve ended.
 
-    ``iterations`` and ``residual_norm`` describe the whole solve: for an
-    (n, H) right-hand side they are the sum of the columns' iterations and
-    the largest column residual.  ``columns`` then holds one
-    :class:`SpdSolveInfo` per column, in column order; it is empty for a
-    vector solve.
+    ``iterations`` counts operator steps: CG iterations for a vector, block
+    steps for an (n, H) right-hand side.  ``residual_norm`` is the explicit
+    final residual, for a block the largest over its columns.  ``columns``
+    then holds one :class:`SpdSolveInfo` per column, in column order: each
+    nonzero column carries the block's step count and its own explicit
+    residual, a zero column 0 and 0.0.  It is empty for a vector solve.
     """
 
     iterations: int
@@ -105,14 +112,12 @@ def solve_spd_with_info(
 ) -> tuple[np.ndarray, SpdSolveInfo]:
     """Solve M x = rhs for symmetric positive definite M by conjugate gradient.
 
-    An (n, H) right-hand side solves the H systems M x_h = rhs_h at once:
-    the columns run in lockstep, each with its own step sizes, so every
-    iteration makes one operator product on a block rather than H products
-    on vectors.  Each column keeps the contract of a vector solve (its own
-    target tol * ||rhs_h||, the explicit residual recheck, the curvature
-    check, the iteration budget) and leaves the working set once its
-    recheck passes.  A vector right-hand side runs a loop of its own, which
-    carries none of the block's bookkeeping.
+    An (n, H) right-hand side with H >= 2 solves the H systems M x_h = rhs_h
+    by block CG over one shared Krylov space (:func:`_block_cg`), one
+    operator product on a block per step.  Each column keeps the contract
+    of a vector solve: its own target tol * ||rhs_h||, the explicit
+    residual recheck, the curvature check and the step budget.  An (n, 1)
+    right-hand side runs the vector loop on its one column.
 
     Args:
         operator: a callable v -> M v, trusted to be symmetric, or an
@@ -123,7 +128,8 @@ def solve_spd_with_info(
         tol: accept x_h once ||M x_h - rhs_h|| <= tol * ||rhs_h||.  The
             final residual is recomputed explicitly, not trusted from the
             recurrence.
-        max_iter: iteration budget per column, default 10 * n.
+        max_iter: budget of iterations (vector) or block steps, default
+            10 * n.
 
     Returns:
         The solution, shaped like ``rhs``, and its :class:`SpdSolveInfo`.
@@ -144,9 +150,16 @@ def solve_spd_with_info(
         raise DimensionMismatch(f"rhs shape {b.shape} does not match dimension {dim}")
     if max_iter is None:
         max_iter = max(1, 10 * dim)
-    if b.ndim == 2:
-        return _block_cg(matvec, b, tol, max_iter)
+    if b.ndim == 1:
+        return _cg(matvec, b, tol, max_iter)
+    if b.shape[1] == 1:
+        x, info = _cg(lambda v: matvec(v[:, None])[:, 0], b[:, 0], tol, max_iter)
+        return x[:, None], SpdSolveInfo(info.iterations, info.residual_norm, (info,))
+    return _block_cg(matvec, b, tol, max_iter)
 
+
+def _cg(matvec, b: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, SpdSolveInfo]:
+    """The vector loop of :func:`solve_spd_with_info`."""
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros_like(b), SpdSolveInfo(0, 0.0)
@@ -195,89 +208,102 @@ def solve_spd_with_info(
 
 
 def _block_cg(matvec, b: np.ndarray, tol: float, max_iter: int):
-    """Lockstep CG over the columns of b; see :func:`solve_spd_with_info`.
+    """Breakdown-free block CG over the columns of b; see :func:`solve_spd_with_info`.
 
-    The state is kept one row per column, so every dot product and norm runs
-    on a contiguous vector exactly as in the vector loop.  With an operator
-    that treats each column alike (a sparse product does), each column's
-    iterates, iteration count and residual are then bitwise those of a
-    vector solve of that column.  ``act`` lists the columns still in the
-    working set; the rows of x, r, p and the entries of rs, targets and
-    verifications follow its order.
+    Block CG (O'Leary, Linear Algebra Appl. 29, 1980) searches one Krylov
+    space for all columns.  The iteration runs on the columns of b scaled
+    to unit norm, so every column's target is tol.  Each step makes the
+    residuals of the columns still above their targets M-conjugate to the
+    previous search block P (Z = R + P beta with
+    beta = -(P^T M P)^-1 (M P)^T R) and takes an orthonormal basis of Z as
+    the new P.  A pivoted Cholesky factorisation of Z^T Z builds that basis
+    and drops each column of Z whose distance from the span of those kept
+    falls below _DEFLATE_RTOL times the longest column; that rank deflation
+    (Ji & Li, BIT 57, 2017) keeps P^T M P invertible when columns repeat or
+    H > n.
+    Every nonzero column then moves by alpha = (P^T M P)^-1 P^T R, so the
+    columns that already meet their targets keep improving in the M-norm.
+    Besides the products with the n-row blocks, all dense work is on
+    r x r matrices, r <= H.
+
+    Once every recurrence residual meets its target, the residual block of
+    the unscaled problem is recomputed explicitly and decides the stop; a
+    failed recheck restarts from the explicit residuals, at most twice.
     """
-    def apply(v: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(matvec(v.T).T)
-
-    def dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # A stack of (1, n) @ (n, 1) products: one BLAS dot per row, the
-        # same call a vector's u @ v makes, so the sums round alike.
-        return (u[:, None, :] @ v[:, :, None]).ravel()
-
-    bt = np.ascontiguousarray(b.T)
-    h = bt.shape[0]
-    x_out = np.zeros_like(bt)
-    iterations = np.zeros(h, dtype=int)
+    h = b.shape[1]
+    b_norms = np.linalg.norm(b, axis=0)
+    live = np.flatnonzero(b_norms > 0.0)  # a zero column is solved by x = 0
+    x_out = np.zeros_like(b)
     residuals = np.zeros(h)
-    b_norms = np.sqrt(dots(bt, bt))
-    act = np.flatnonzero(b_norms > 0.0)  # a zero column is solved by x = 0
-    targets = tol * b_norms[act]
-    x = np.zeros((act.size, bt.shape[1]))
-    r = bt[act]
-    p = r.copy()
-    rs = dots(r, r)
-    verifications = np.full(act.size, 2)  # per column, as in the vector loop
-    it = 0
+    scale = b_norms[live]
+    bl = b[:, live]
+    targets = tol * scale
+    x = np.zeros_like(bl)
+    r = bl / scale
+    res = np.ones(live.size)
+    p = q = c_inv = None  # the last search block, M p and (p^T M p)^-1
+    tri = np.tri(h)  # masks the triangle LAPACK leaves unreferenced
+    steps = 0
+    verifications = 2  # recurrence drift guard, as in the vector loop
 
-    while act.size:
-        met = np.flatnonzero(np.sqrt(rs) <= targets)
-        if met.size:
-            true_r = bt[act[met]] - apply(x[met])
-            true_norm = np.sqrt(dots(true_r, true_r))
-            ok = true_norm <= targets[met]
-            stalled = np.flatnonzero(~ok & (verifications[met] == 0))
-            if stalled.size:
-                k = stalled[0]
-                raise NoConvergence(
-                    f"conjugate gradient stalled on column {act[met[k]]} at residual "
-                    f"{true_norm[k]:.3e} (target {targets[met[k]]:.3e}) after {it} iterations"
-                )
-            redo = met[~ok]
-            verifications[redo] -= 1
-            r[redo] = true_r[~ok]
-            p[redo] = true_r[~ok]
-            rs[redo] = dots(true_r[~ok], true_r[~ok])
-            done = met[ok]
-            x_out[act[done]] = x[done]
-            iterations[act[done]] = it
-            residuals[act[done]] = true_norm[ok]
-            keep = np.ones(act.size, dtype=bool)
-            keep[done] = False
-            act, targets, verifications, rs = act[keep], targets[keep], verifications[keep], rs[keep]
-            x, r, p = x[keep], r[keep], p[keep]
-            if not act.size:
+    while live.size:
+        act = res > tol
+        if not act.any():
+            x_out[:, live] = x * scale
+            true_r = bl - matvec(x_out[:, live])
+            true_res = np.sqrt(np.einsum("ij,ij->j", true_r, true_r))
+            if np.all(true_res <= targets):
+                residuals[live] = true_res
                 break
-        if it >= max_iter:
-            k = int(np.argmax(np.sqrt(rs) / targets))
+            if verifications == 0:
+                k = int(np.argmax(true_res / targets))
+                raise NoConvergence(
+                    f"block conjugate gradient stalled on column {live[k]} at residual "
+                    f"{true_res[k]:.3e} (target {targets[k]:.3e}) after {steps} steps"
+                )
+            verifications -= 1
+            r, res = true_r / scale, true_res / scale
+            act = res > tol
+            p = None
+        if steps >= max_iter:
+            k = int(np.argmax(res))
             raise NoConvergence(
-                f"conjugate gradient exceeded {max_iter} iterations on column {act[k]} "
-                f"(residual {np.sqrt(rs[k]):.3e}, target {targets[k]:.3e})"
+                f"block conjugate gradient exceeded {max_iter} steps on column {live[k]} "
+                f"(residual {res[k] * scale[k]:.3e}, target {targets[k]:.3e})"
             )
-        ap = apply(p)
-        p_ap = dots(p, ap)
-        if np.any(p_ap <= 0.0):
+        z = r if act.all() else r[:, act]
+        if p is not None:
+            z = z - p @ (c_inv @ (q.T @ z))
+        # Pivoted Cholesky Z^T Z = L L^T, with Z's columns in pivot order,
+        # stops at the first pivot below _DEFLATE_RTOL^2 of the largest
+        # diagonal entry; the kept columns Z_r give P = Z_r L^-T.
+        gram = z.T @ z
+        fac, piv, rank, _ = lapack.dpstrf(
+            gram, tol=_DEFLATE_RTOL**2 * gram.diagonal().max(), lower=1
+        )
+        l_inv = lapack.dtrtri(fac[:rank, :rank], lower=1)[0] * tri[:rank, :rank]
+        basis = np.zeros((z.shape[1], rank))
+        basis[piv[:rank] - 1] = l_inv.T
+        p = z @ basis
+        q = matvec(p)
+        chol, info = lapack.dpotrf(p.T @ q, lower=1)
+        if info != 0:
             raise NotPositiveDefinite(
-                f"direction of nonpositive curvature (p^T M p = {p_ap.min():.3e})"
+                "search block of nonpositive curvature (smallest eigenvalue of "
+                f"P^T M P = {np.linalg.eigvalsh(p.T @ q).min():.3e})"
             )
-        alpha = (rs / p_ap)[:, None]
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = dots(r, r)
-        p = r + (rs_new / rs)[:, None] * p
-        rs = rs_new
-        it += 1
+        half = lapack.dtrtri(chol, lower=1)[0] * tri[:rank, :rank]
+        c_inv = half.T @ half  # (P^T M P)^-1
+        alpha = c_inv @ (p.T @ r)
+        x += p @ alpha
+        r -= q @ alpha
+        res = np.sqrt(np.einsum("ij,ij->j", r, r))
+        steps += 1
 
-    columns = tuple(SpdSolveInfo(int(i), float(res)) for i, res in zip(iterations, residuals))
-    return x_out.T, SpdSolveInfo(int(iterations.sum()), float(residuals.max(initial=0.0)), columns)
+    columns = tuple(
+        SpdSolveInfo(steps if b_norms[k] > 0.0 else 0, float(residuals[k])) for k in range(h)
+    )
+    return x_out, SpdSolveInfo(steps, float(residuals.max(initial=0.0)), columns)
 
 
 # --- linear programming -------------------------------------------------------

@@ -9,10 +9,13 @@ differs is the objective:
   applies S^T S as two products, with S and the network's cached S^T, and
   never forms it.
   The ``general:l2`` route of :func:`reconcile_general` also takes an
-  (n, H) block of forecasts and solves all H columns in one multi-column
-  CG; it returns one result per column, with that column's CG iterations
-  and gradient-norm certificate (twice its CG residual, as for a vector)
-  and an equal share of the block's wall time.
+  (n, H) block of forecasts: one block CG over a shared Krylov space
+  solves all H columns, one product lifts them and one check measures
+  their coherence.  It returns one result per column, with the block's
+  step count, that column's gradient-norm certificate (twice its explicit
+  CG residual, as for a vector) and an equal share of the block's wall
+  time.  Each column meets its own certificate but is no longer bitwise
+  equal to a one-column solve.
 * :func:`reconcile_weighted` is the closed-form solution of the generic
   weighted projection under explicit linear constraints, computed densely.
 * :func:`reconcile_l1` minimises the (weighted) sum of absolute
@@ -222,30 +225,40 @@ def _l2_result(
 ) -> ReconciliationResult | list[ReconciliationResult]:
     """Solve the weighted normal equations S^T W S b = S^T W y and package b.
 
-    CG applies S^T W S as v -> S^T (w * (S v)), so the Gram matrix, several
-    times denser than S, is never formed.  An (n, H) block y is solved as
-    one multi-column CG and gives a list of H results, one per column: each
-    carries its column's iterations and gradient-norm certificate, and an
-    equal share of the block's wall time.
+    CG applies S^T W S as v -> S^T (w * (S v)), or S^T (S v) without
+    weights, so the Gram matrix, several times denser than S, is never
+    formed.  The forecasts are packaged as one panel: an (n, H) block y is
+    solved by one block CG, lifted by one product S B, and given its H loss
+    values in one vectorised pass and its coherence reports in one check.
+    It gives a list of H results in column order; each carries the block's
+    step count, its column's gradient-norm certificate (twice its explicit
+    CG residual) and an equal share of the block's wall time.  A vector y
+    is the one-column case and gives one result.
     """
     s, st = agg.matrix, agg.matrix_t
+    panel = y if y.ndim == 2 else y[:, None]
     w = loss.resolved_weights(agg.n)
-    if y.ndim == 2:
-        w = w[:, None]
-    b, info = solve_spd_with_info(lambda v: st @ (w * (s @ v)), st @ (w * y), tol=tol)
-    wall = time.perf_counter() - t0
-    if y.ndim == 1:
-        stats = SolverStats(method, info.iterations, wall, gradient_norm=2.0 * info.residual_norm)
-        return _package(y, b, agg, loss, stats, like=yhat)
+    if loss.weights is None:
+        rhs, matvec = st @ panel, lambda v: st @ (s @ v)
+    else:
+        wc = w[:, None]
+        rhs, matvec = st @ (wc * panel), lambda v: st @ (wc * (s @ v))
+    b, info = solve_spd_with_info(matvec, rhs, tol=tol)
+    wall = (time.perf_counter() - t0) / panel.shape[1]
+    lifted = s @ b
+    adjustment = lifted - panel
+    losses = w @ (adjustment * adjustment)
+    reports = check_coherence(lifted, agg)
     results = []
     for h, col in enumerate(info.columns):
-        stats = SolverStats(
-            method, col.iterations, wall / y.shape[1], gradient_norm=2.0 * col.residual_norm
+        stats = SolverStats(method, col.iterations, wall, gradient_norm=2.0 * col.residual_norm)
+        y_tilde = _vector_like(lifted[:, h], yhat)
+        if y.ndim == 2:
+            y_tilde.horizon = h + 1
+        results.append(
+            ReconciliationResult(y_tilde, b[:, h], float(losses[h]), reports[h], stats)
         )
-        res = _package(y[:, h], b[:, h], agg, loss, stats)
-        res.y_tilde.horizon = h + 1
-        results.append(res)
-    return results
+    return results if y.ndim == 2 else results[0]
 
 
 def reconcile_l2(yhat, agg: FlowAggregationMatrix, tol: float = 1e-12) -> ReconciliationResult:
@@ -417,7 +430,7 @@ def reconcile_general(
     with :class:`NonSmoothLoss` (use :func:`reconcile_l1`).  Plain l2 is
     routed through the normal equations; under l2 without a box, ``yhat``
     may also be an (n, H) block of H forecasts (horizons), solved as one
-    multi-column CG and returned as a list of H results in column order,
+    block CG and returned as a list of H results in column order,
     the h-th with horizon h + 1.  Huber without a box runs damped
     semismooth Newton steps on the generalised Hessian
     S^T diag(w [|(S b - yhat)_i| <= delta]) S, applied through S and never

@@ -76,46 +76,63 @@ class CoherenceReport:
     edge_residuals: np.ndarray = field(repr=False)
 
 
-def default_tolerance(values: np.ndarray) -> float:
-    """Coherence tolerance scaled to the data: 1e-8 * (1 + max |value|)."""
+def default_tolerance(values: np.ndarray):
+    """Coherence tolerance scaled to the data: 1e-8 * (1 + max |value|).
+
+    For an (n, H) block, an array of H tolerances, one per column.
+    """
     values = np.asarray(values, dtype=float)
-    scale = float(np.max(np.abs(values))) if values.size else 0.0
-    return 1e-8 * (1.0 + scale)
+    tolerance = 1e-8 * (1.0 + np.abs(values).max(axis=0, initial=0.0))
+    return float(tolerance) if values.ndim < 2 else tolerance
 
 
 def check_coherence(
     values, agg: FlowAggregationMatrix, tolerance: float | None = None
-) -> CoherenceReport:
+) -> CoherenceReport | list[CoherenceReport]:
     """Measure how far a stacked vector is from aggregation consistency.
 
     For every node the residual is |sum of path values through it - node
     value|, and likewise per edge.  The vector is coherent when no residual
     exceeds the tolerance (default :func:`default_tolerance` of the data).
 
+    An (n, H) block of H vectors is checked in one product per level and
+    gives a list of H reports in column order, each with its column's
+    default tolerance; a vector is its one-column case and gives one report.
+
     Args:
-        values: ForecastVector or length-n array.
+        values: ForecastVector, length-n array or (n, H) array.
         agg: aggregation operator for the same network.
         tolerance: absolute residual bound; None picks the scaled default.
     """
     imap = agg.index_map
-    y = _as_component_vector(values, imap.n)
+    data = np.asarray(getattr(values, "data", values), dtype=float)
+    block = data.ndim == 2 and data.shape[0] == imap.n
+    if block:
+        if not np.all(np.isfinite(data)):
+            raise BadParameter("component block contains NaN or infinite entries")
+        y = data
+    else:
+        y = _as_component_vector(data, imap.n)[:, None]
+    node_res = np.abs(agg.vp @ y[imap.path_slice] - y[imap.node_slice])
+    edge_res = np.abs(agg.ep @ y[imap.path_slice] - y[imap.edge_slice])
+    max_node = node_res.max(axis=0, initial=0.0)
+    max_edge = edge_res.max(axis=0, initial=0.0)
     if tolerance is None:
-        tolerance = default_tolerance(y)
-    y_nodes = y[imap.node_slice]
-    y_edges = y[imap.edge_slice]
-    y_paths = y[imap.path_slice]
-    node_res = np.abs(agg.vp @ y_paths - y_nodes)
-    edge_res = np.abs(agg.ep @ y_paths - y_edges)
-    max_node = float(node_res.max()) if node_res.size else 0.0
-    max_edge = float(edge_res.max()) if edge_res.size else 0.0
-    return CoherenceReport(
-        coherent=bool(max_node <= tolerance and max_edge <= tolerance),
-        max_node_residual=max_node,
-        max_edge_residual=max_edge,
-        tolerance=float(tolerance),
-        node_residuals=node_res,
-        edge_residuals=edge_res,
-    )
+        tolerances = default_tolerance(y)
+    else:
+        tolerances = np.full(y.shape[1], float(tolerance))
+    reports = [
+        CoherenceReport(
+            coherent=bool(max_node[h] <= tolerances[h] and max_edge[h] <= tolerances[h]),
+            max_node_residual=float(max_node[h]),
+            max_edge_residual=float(max_edge[h]),
+            tolerance=float(tolerances[h]),
+            node_residuals=node_res[:, h],
+            edge_residuals=edge_res[:, h],
+        )
+        for h in range(y.shape[1])
+    ]
+    return reports if block else reports[0]
 
 
 def node_imbalance(values, net) -> np.ndarray:

@@ -7,6 +7,8 @@ import pytest
 
 from flowrec import (
     BadParameter,
+    FlowAggregationMatrix,
+    Network,
     GeneratorConfig,
     InfeasibleTopology,
     check_coherence,
@@ -17,6 +19,76 @@ from flowrec import (
     run_benchmark,
     thread_count,
 )
+
+
+def _listed_candidates_instance(cfg, index):
+    """The generator as it was when it listed every candidate pair: edges,
+    paths, truth, base forecast and sigma of instance ``index``, drawn from
+    the same stream, for comparison with the arithmetic decoding."""
+    rng = np.random.default_rng(cfg.seed + index)
+    n_src = max(1, round(cfg.nodes * cfg.source_frac))
+    n_snk = max(1, round(cfg.nodes * cfg.sink_frac))
+    n_mid = cfg.nodes - n_src - n_snk
+    sources = [f"s{i}" for i in range(n_src)]
+    mids = [f"m{i}" for i in range(n_mid)]
+    sinks = [f"t{i}" for i in range(n_snk)]
+    edges, edge_set = [], set()
+
+    def add(t, h):
+        if (t, h) not in edge_set:
+            edge_set.add((t, h))
+            edges.append((t, h))
+
+    for i in range(n_mid - 1):
+        add(mids[i], mids[i + 1])
+    for s in sources:
+        add(s, mids[int(rng.integers(n_mid))])
+    for t in sinks:
+        add(mids[int(rng.integers(n_mid))], t)
+    if not any(e[0] == mids[-1] for e in edge_set if e[1] in sinks):
+        add(mids[-1], sinks[int(rng.integers(n_snk))])
+    candidates = [(s, m) for s in sources for m in mids if (s, m) not in edge_set]
+    candidates += [
+        (mids[i], mids[j])
+        for i in range(n_mid)
+        for j in range(i + 1, n_mid)
+        if (mids[i], mids[j]) not in edge_set
+    ]
+    candidates += [(m, t) for m in mids for t in sinks if (m, t) not in edge_set]
+    m_max = permitted_edge_count(cfg)
+    u = cfg.density if cfg.density is not None else float(rng.uniform())
+    m_target = int(round(cfg.nodes + u * (m_max - cfg.nodes)))
+    extra = min(max(m_target - len(edges), 0), len(candidates))
+    if extra:
+        for k in rng.choice(len(candidates), size=extra, replace=False):
+            add(*candidates[int(k)])
+
+    out_edges = {v: [] for v in sources + mids + sinks}
+    for i, (t, _) in enumerate(edges):
+        out_edges[t].append(i)
+    p_target = cfg.max_paths if cfg.max_paths is not None else 4 * cfg.nodes
+    paths, seen = [], set()
+    for _ in range(50 * p_target):
+        if len(paths) >= p_target:
+            break
+        v, walk = sources[int(rng.integers(n_src))], []
+        while len(walk) < cfg.max_hops:
+            if not out_edges[v]:
+                break
+            e = out_edges[v][int(rng.integers(len(out_edges[v])))]
+            walk.append(e)
+            v = edges[e][1]
+            if v in sinks:
+                if tuple(walk) not in seen:
+                    seen.add(tuple(walk))
+                    paths.append(tuple(walk))
+                break
+    net = Network(sources + mids + sinks, edges, paths)
+    flows = rng.uniform(cfg.flow_low, cfg.flow_high, len(paths))
+    y_true = FlowAggregationMatrix.from_network(net).aggregate(flows)
+    sigma = cfg.sigma if cfg.sigma is not None else 0.05 * float(np.mean(np.abs(y_true)))
+    noise = rng.normal(0.0, sigma, y_true.shape) if sigma > 0 else np.zeros_like(y_true)
+    return edges, paths, y_true, y_true + noise, sigma
 
 
 class TestGeneratorConfig:
@@ -122,6 +194,29 @@ class TestGenerateInstance:
         cfg = GeneratorConfig(nodes=20, instances=1, max_paths=5, seed=11)
         inst = generate_instance(cfg, 0)
         assert 1 <= len(inst.network.paths) <= 5
+
+    @pytest.mark.parametrize("fractions", [(0.2, 0.2), (0.1, 0.3), (0.4, 0.15)])
+    def test_decoded_candidates_match_the_listed_ones(self, fractions):
+        # Decoding the k-th candidate by arithmetic must draw the same pairs
+        # as indexing the full list did, so every seed gives the same instance.
+        for nodes in (3, 4, 7, 12, 25, 60):
+            for density in (0.0, 0.2, 1.0, None):
+                cfg = GeneratorConfig(
+                    nodes=nodes, instances=1, density=density, seed=31 * nodes,
+                    source_frac=fractions[0], sink_frac=fractions[1],
+                )
+                try:
+                    edges, paths, y_true, y_base, sigma = _listed_candidates_instance(cfg, 2)
+                except InfeasibleTopology:
+                    with pytest.raises(InfeasibleTopology):
+                        generate_instance(cfg, 2)
+                    continue
+                inst = generate_instance(cfg, 2)
+                assert list(inst.network.edges) == edges
+                assert list(inst.network.paths) == paths
+                assert np.array_equal(inst.y_true.data, y_true)
+                assert np.array_equal(inst.y_base.data, y_base)
+                assert inst.sigma == sigma
 
     def test_every_path_runs_source_to_sink(self):
         cfg = GeneratorConfig(nodes=15, instances=1, seed=12)

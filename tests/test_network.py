@@ -75,6 +75,19 @@ class TestNetworkValidation:
         assert parallel_net.path_origin(1) == 0
         assert parallel_net.path_destination(1) == 3
 
+    def test_path_node_sequences_match_the_per_path_walk(self):
+        # path_nodes is built array-at-a-time; walking each path edge by edge
+        # must give the same tuples of Python ints.
+        for seed, nodes, density in ((1, 5, 0.0), (2, 12, 0.2), (3, 30, 0.5), (4, 60, 1.0)):
+            net = random_instance(nodes=nodes, seed=seed, density=density).network
+            walked = tuple(
+                (net.node_index[net.edges[p[0]][0]], *(net.node_index[net.edges[e][1]] for e in p))
+                for p in net.paths
+            )
+            assert net.path_nodes == walked
+            assert all(type(v) is int for seq in net.path_nodes for v in seq)
+        assert Network(["s", "t"], [("s", "t")], []).path_nodes == ()
+
 
 class TestIndexMap:
     def test_block_layout(self):

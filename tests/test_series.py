@@ -93,6 +93,33 @@ class TestCoherence:
             assert report.max_node_residual <= np.finfo(float).eps * inst.agg.n * 8
             assert report.max_edge_residual <= np.finfo(float).eps * inst.agg.n * 8
 
+    def test_a_block_gives_each_columns_vector_report(self):
+        inst = random_instance(nodes=15, seed=7)
+        rng = np.random.default_rng(7)
+        block = inst.agg.aggregate(rng.normal(size=inst.agg.n_paths))[:, None] * [1.0, 1e3, 0.0]
+        block[:, 0] += rng.normal(scale=1e-6, size=inst.agg.n)
+        block[:, 2] += rng.normal(size=inst.agg.n)
+        for tolerance in (None, 1e-3):
+            reports = check_coherence(block, inst.agg, tolerance=tolerance)
+            assert isinstance(reports, list) and len(reports) == 3
+            for h, report in enumerate(reports):
+                single = check_coherence(block[:, h].copy(), inst.agg, tolerance=tolerance)
+                assert report.coherent == single.coherent
+                assert report.tolerance == single.tolerance
+                assert report.max_node_residual == single.max_node_residual
+                assert report.max_edge_residual == single.max_edge_residual
+                assert np.array_equal(report.node_residuals, single.node_residuals)
+                assert np.array_equal(report.edge_residuals, single.edge_residuals)
+        assert [r.coherent for r in check_coherence(block, inst.agg)] == [False, True, False]
+        bad = block.copy()
+        bad[0, 1] = np.nan
+        with pytest.raises(BadParameter):
+            check_coherence(bad, inst.agg)
+
+    def test_block_tolerance_is_one_per_column(self):
+        block = np.array([[0.0, 99.0], [-2.0, 1.0]])
+        assert default_tolerance(block) == pytest.approx([3e-8, 1e-6], rel=1e-6)
+
 
 class TestNodeImbalance:
     def test_interior_nodes_balance(self, parallel_net, parallel_agg):
