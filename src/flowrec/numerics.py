@@ -220,11 +220,10 @@ def _block_cg(matvec, b: np.ndarray, tol: float, max_iter: int):
     and drops each column of Z whose distance from the span of those kept
     falls below _DEFLATE_RTOL times the longest column; that rank deflation
     (Ji & Li, BIT 57, 2017) keeps P^T M P invertible when columns repeat or
-    H > n.
-    Every nonzero column then moves by alpha = (P^T M P)^-1 P^T R, so the
-    columns that already meet their targets keep improving in the M-norm.
-    Besides the products with the n-row blocks, all dense work is on
-    r x r matrices, r <= H.
+    H > n.  Every nonzero column then moves by
+    alpha = (P^T M P)^-1 P^T R, so the columns that already meet their
+    targets keep improving in the M-norm.  Besides the products with the
+    n-row blocks, all dense work is on r x r matrices, r <= H.
 
     Once every recurrence residual meets its target, the residual block of
     the unscaled problem is recomputed explicitly and decides the stop; a
@@ -249,10 +248,11 @@ def _block_cg(matvec, b: np.ndarray, tol: float, max_iter: int):
     while live.size:
         act = res > tol
         if not act.any():
-            x_out[:, live] = x * scale
-            true_r = bl - matvec(x_out[:, live])
+            x_live = x * scale
+            true_r = bl - matvec(x_live)
             true_res = np.sqrt(np.einsum("ij,ij->j", true_r, true_r))
             if np.all(true_res <= targets):
+                x_out[:, live] = x_live
                 residuals[live] = true_res
                 break
             if verifications == 0:

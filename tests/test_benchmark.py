@@ -19,6 +19,7 @@ from flowrec import (
     run_benchmark,
     thread_count,
 )
+from flowrec.benchmark import _pair_ranks, _pairs_of_ranks
 
 
 def _listed_candidates_instance(cfg, index):
@@ -217,6 +218,18 @@ class TestGenerateInstance:
                 assert np.array_equal(inst.y_true.data, y_true)
                 assert np.array_equal(inst.y_base.data, y_base)
                 assert inst.sigma == sigma
+
+    def test_pair_ranks_round_trip_over_every_permitted_pair(self):
+        # Rank k is the k-th pair of the listed order: source->mid, mid->mid
+        # with i < j, mid->sink, node indices in sources, mids, sinks order.
+        for n_src, n_mid, n_snk in ((1, 1, 1), (2, 5, 3), (4, 9, 1)):
+            listed = [(s, n_src + m) for s in range(n_src) for m in range(n_mid)]
+            listed += [(n_src + i, n_src + j) for i in range(n_mid) for j in range(i + 1, n_mid)]
+            listed += [(n_src + m, n_src + n_mid + t) for m in range(n_mid) for t in range(n_snk)]
+            ranks = np.arange(len(listed))
+            assert list(_pairs_of_ranks(ranks, n_src, n_mid, n_snk)) == listed
+            tail, head = np.array(listed).T
+            assert np.array_equal(_pair_ranks(tail, head, n_src, n_mid, n_snk), ranks)
 
     def test_every_path_runs_source_to_sink(self):
         cfg = GeneratorConfig(nodes=15, instances=1, seed=12)
