@@ -178,6 +178,12 @@ class Network:
     def _build_derived(self) -> None:
         self.node_index = {v: i for i, v in enumerate(self.nodes)}
         self.edge_index = {e: i for i, e in enumerate(self.edges)}
+        # Row e holds the node indices of edge e's tail and head.
+        self._edge_ends = np.fromiter(
+            map(self.node_index.__getitem__, chain.from_iterable(self.edges)),
+            dtype=np.intp,
+            count=2 * len(self.edges),
+        ).reshape(-1, 2)
         self.path_nodes: tuple[tuple[int, ...], ...] = self._node_sequences(self.paths)
 
     @cached_property
@@ -222,22 +228,25 @@ class Network:
         keep = np.ones(len(self.paths), dtype=bool)
         edges, paths, path_nodes = self.edges, self.paths, self.path_nodes
         edge_index = dict(self.edge_index)
+        edge_ends = self._edge_ends
         start = m
         if remove is not None:
             keep[list(self.paths_through("edge", remove))] = False
             edges = edges[:remove] + edges[remove + 1 :]
             del edge_index[self.edges[remove]]
+            edge_ends = np.delete(edge_ends, remove, axis=0)
             shift = [*range(remove), -1, *range(remove, m - 1)].__getitem__
             paths = tuple(tuple(map(shift, p)) for p in compress(paths, keep))
             path_nodes = tuple(compress(path_nodes, keep))
             start = remove
         if add is not None:
             edges = edges + (add,)
+            edge_ends = np.vstack([edge_ends, [self.node_index[v] for v in add]])
         edge_index.update(zip(edges[start:], range(start, len(edges))))
 
         net = Network.__new__(Network)
         net.nodes, net.edges, net.roles = self.nodes, edges, dict(self.roles)
-        net.node_index, net.edge_index = self.node_index, edge_index
+        net.node_index, net.edge_index, net._edge_ends = self.node_index, edge_index, edge_ends
         existing = set(paths)
         for i, p in enumerate(new_paths):
             net._validate_path(p, f"new path {i}")
@@ -257,19 +266,14 @@ class Network:
     def _node_sequences(self, paths) -> tuple[tuple[int, ...], ...]:
         """Each path's node indices: its first edge's tail, then every edge's head.
 
-        Built array-at-a-time over the flat edge list of ``paths``, which
-        must be valid; only the edges they use are looked up.
+        Read array-at-a-time from the edge end table over the flat edge
+        list of ``paths``, which must be valid.
         """
         flat, ptr = _columns(paths)
-        used, where = np.unique(flat, return_inverse=True)
-        pairs = chain.from_iterable(map(self.edges.__getitem__, used.tolist()))
-        ends = np.fromiter(
-            map(self.node_index.__getitem__, pairs), dtype=np.intp, count=2 * used.shape[0]
-        ).reshape(-1, 2)
-        starts = ptr[:-1]
-        seq = np.insert(ends[where, 1], starts, ends[where[starts], 0]).tolist()
-        bounds = (ptr + np.arange(ptr.shape[0])).tolist()
-        return tuple(tuple(seq[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
+        heads = self._edge_ends[flat, 1].tolist()
+        tails = self._edge_ends[flat[ptr[:-1]], 0].tolist()
+        bounds = ptr.tolist()
+        return tuple((t, *heads[a:b]) for t, a, b in zip(tails, bounds, bounds[1:]))
 
     # -- queries ---------------------------------------------------------------
 

@@ -233,31 +233,34 @@ def _l2_result(
     It gives a list of H results in column order; each carries the block's
     step count, its column's gradient-norm certificate (twice its explicit
     CG residual) and an equal share of the block's wall time.  A vector y
-    is the one-column case and gives one result.
+    runs the same code as the one-column case and gives one result.
     """
     s, st = agg.matrix, agg.matrix_t
-    panel = y if y.ndim == 2 else y[:, None]
     w = loss.resolved_weights(agg.n)
     if loss.weights is None:
-        rhs, matvec = st @ panel, lambda v: st @ (s @ v)
+        rhs, matvec = st @ y, lambda v: st @ (s @ v)
     else:
-        wc = w[:, None]
-        rhs, matvec = st @ (wc * panel), lambda v: st @ (wc * (s @ v))
+        wy = w if y.ndim == 1 else w[:, None]
+        rhs, matvec = st @ (wy * y), lambda v: st @ (wy * (s @ v))
     b, info = solve_spd_with_info(matvec, rhs, tol=tol)
-    wall = (time.perf_counter() - t0) / panel.shape[1]
+    wall = time.perf_counter() - t0
     lifted = s @ b
-    adjustment = lifted - panel
-    losses = w @ (adjustment * adjustment)
+    adjustment = lifted - y
+    losses = np.atleast_1d(w @ (adjustment * adjustment))
     reports = check_coherence(lifted, agg)
+    if y.ndim == 1:
+        columns, reports = (info,), [reports]
+    else:
+        columns = info.columns
+    h = len(columns)
+    lifted, b = lifted.reshape(agg.n, h), b.reshape(agg.n_paths, h)
     results = []
-    for h, col in enumerate(info.columns):
-        stats = SolverStats(method, col.iterations, wall, gradient_norm=2.0 * col.residual_norm)
-        y_tilde = _vector_like(lifted[:, h], yhat)
+    for k, col in enumerate(columns):
+        stats = SolverStats(method, col.iterations, wall / h, gradient_norm=2.0 * col.residual_norm)
+        y_tilde = _vector_like(lifted[:, k], yhat)
         if y.ndim == 2:
-            y_tilde.horizon = h + 1
-        results.append(
-            ReconciliationResult(y_tilde, b[:, h], float(losses[h]), reports[h], stats)
-        )
+            y_tilde.horizon = k + 1
+        results.append(ReconciliationResult(y_tilde, b[:, k], float(losses[k]), reports[k], stats))
     return results if y.ndim == 2 else results[0]
 
 

@@ -105,32 +105,34 @@ def check_coherence(
         tolerance: absolute residual bound; None picks the scaled default.
     """
     imap = agg.index_map
-    data = np.asarray(getattr(values, "data", values), dtype=float)
-    block = data.ndim == 2 and data.shape[0] == imap.n
-    if block:
-        if not np.all(np.isfinite(data)):
-            raise BadParameter("component block contains NaN or infinite entries")
-        y = data
-    else:
-        y = _as_component_vector(data, imap.n)[:, None]
-    node_res = np.abs(agg.vp @ y[imap.path_slice] - y[imap.node_slice])
-    edge_res = np.abs(agg.ep @ y[imap.path_slice] - y[imap.edge_slice])
-    max_node = node_res.max(axis=0, initial=0.0)
-    max_edge = edge_res.max(axis=0, initial=0.0)
+    y = np.asarray(getattr(values, "data", values), dtype=float)
+    block = y.ndim == 2 and y.shape[0] == imap.n
+    if not block:
+        y = _as_component_vector(y, imap.n)
+    elif not np.all(np.isfinite(y)):
+        raise BadParameter("component block contains NaN or infinite entries")
+    # The same code serves a vector and a block; residuals are laid out one
+    # row per column for the reports.
+    h = y.shape[1] if block else 1
+    paths = y[imap.path_slice]
+    node_res = np.abs(agg.vp @ paths - y[imap.node_slice]).T.reshape(h, imap.n_nodes)
+    edge_res = np.abs(agg.ep @ paths - y[imap.edge_slice]).T.reshape(h, imap.n_edges)
+    max_node = node_res.max(axis=1, initial=0.0)
+    max_edge = edge_res.max(axis=1, initial=0.0)
     if tolerance is None:
-        tolerances = default_tolerance(y)
+        tolerances = np.atleast_1d(default_tolerance(y))
     else:
-        tolerances = np.full(y.shape[1], float(tolerance))
+        tolerances = np.full(h, float(tolerance))
     reports = [
         CoherenceReport(
-            coherent=bool(max_node[h] <= tolerances[h] and max_edge[h] <= tolerances[h]),
-            max_node_residual=float(max_node[h]),
-            max_edge_residual=float(max_edge[h]),
-            tolerance=float(tolerances[h]),
-            node_residuals=node_res[:, h],
-            edge_residuals=edge_res[:, h],
+            coherent=bool(mn <= tol and me <= tol),
+            max_node_residual=float(mn),
+            max_edge_residual=float(me),
+            tolerance=float(tol),
+            node_residuals=nr,
+            edge_residuals=er,
         )
-        for h in range(y.shape[1])
+        for mn, me, tol, nr, er in zip(max_node, max_edge, tolerances, node_res, edge_res)
     ]
     return reports if block else reports[0]
 
