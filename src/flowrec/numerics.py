@@ -49,9 +49,12 @@ from .errors import (
 # Symmetry tolerance and line-search constants used across the kernels.
 _SYM_RTOL = 1e-12
 # Block CG drops a search direction whose distance from the span of those
-# kept is below this fraction of the longest; the pivots it compares, of
-# Z^T Z, then sit well above their rounding error.
-_DEFLATE_RTOL = 1e-6
+# kept is below this fraction of the longest.  The pivots it compares, of
+# Z^T Z, must sit above their rounding error (1e-8 let noise through as a
+# false nonpositive curvature), and every direction dropped costs
+# conjugacy (1e-6 took hundreds of steps on weighted panels whose columns
+# are nearly dependent, where 1e-7 took about twenty).
+_DEFLATE_RTOL = 1e-7
 # HiGHS treats any value of this magnitude or more as infinite.
 _HIGHS_INF = 1e20
 _ARMIJO_C = 1e-4

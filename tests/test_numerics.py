@@ -21,6 +21,8 @@ from flowrec.numerics import (
     solve_spd_with_info,
 )
 
+from conftest import random_instance
+
 
 def spd_from(matrix):
     return SparseSpd(sp.csr_matrix(np.asarray(matrix, dtype=float)))
@@ -223,6 +225,23 @@ class TestSolveSpdBlock:
             bound = 2 * tol * np.linalg.norm(rhs[:, h]) / lam_min
             assert np.linalg.norm(x[:, h] - factor * x[:, 0]) <= bound
         assert info.iterations < 50
+
+    def test_nearly_dependent_columns_of_an_ill_conditioned_operator(self):
+        # Twelve horizons of one forecast, rescaled and noisy, under weights
+        # spanning six decades: the residual columns grow nearly dependent,
+        # and dropping every direction within 1e-6 of the others stalls the
+        # solve (no convergence within 10 n steps).
+        inst = random_instance(nodes=30, seed=32, density=0.2)
+        s, st = inst.agg.matrix, inst.agg.matrix_t
+        rng = np.random.default_rng(32)
+        w = 10.0 ** rng.uniform(-3, 3, s.shape[0])
+        y = inst.y_base.data[:, None] * rng.uniform(0.5, 2, 12) + rng.normal(0, 1, (s.shape[0], 12))
+        rhs = st @ (w[:, None] * y)
+        x, info = solve_spd_with_info(lambda v: st @ (w[:, None] * (s @ v)), rhs, tol=1e-10)
+        for h in range(12):
+            target = 1e-10 * np.linalg.norm(rhs[:, h])
+            assert np.linalg.norm(st @ (w * (s @ x[:, h])) - rhs[:, h]) <= target
+        assert info.iterations <= 2 * s.shape[1]
 
     def test_columns_scaled_1e3_apart_each_meet_their_own_target(self):
         a = sp.random(90, 60, density=0.05, random_state=28, format="csr")
