@@ -52,8 +52,8 @@ _SYM_RTOL = 1e-12
 # kept is below this fraction of the longest.  The pivots it compares, of
 # Z^T Z, must sit above their rounding error (1e-8 let noise through as a
 # false nonpositive curvature), and every direction dropped costs
-# conjugacy (1e-6 took hundreds of steps on weighted panels whose columns
-# are nearly dependent, where 1e-7 took about twenty).
+# conjugacy (on weighted panels whose columns grow nearly dependent, 1e-6
+# often took hundreds of steps where 1e-7 took about twenty).
 _DEFLATE_RTOL = 1e-7
 # HiGHS treats any value of this magnitude or more as infinite.
 _HIGHS_INF = 1e20
