@@ -49,12 +49,14 @@ from .errors import (
 # Symmetry tolerance and line-search constants used across the kernels.
 _SYM_RTOL = 1e-12
 # Block CG drops a search direction whose distance from the span of those
-# kept is below this fraction of the longest.  The pivots it compares, of
-# Z^T Z, must sit above their rounding error (1e-8 let noise through as a
-# false nonpositive curvature), and every direction dropped costs
-# conjugacy (on weighted panels whose columns grow nearly dependent, 1e-6
-# often took hundreds of steps where 1e-7 took about twenty).
-_DEFLATE_RTOL = 1e-7
+# kept is below this fraction of its own length.  Every direction dropped
+# costs conjugacy, so the threshold sits as low as the QR that measures
+# the distances allows, well above its rounding error of about 1e-15.  A
+# Gram matrix resolves distances only down to about the square root of
+# the rounding level; it serves while every direction is at least
+# _GRAM_RTOL from the others.
+_DEFLATE_RTOL = 1e-10
+_GRAM_RTOL = 1e-7
 # HiGHS treats any value of this magnitude or more as infinite.
 _HIGHS_INF = 1e20
 _ARMIJO_C = 1e-4
@@ -216,17 +218,18 @@ def _block_cg(matvec, b: np.ndarray, tol: float, max_iter: int):
     Block CG (O'Leary, Linear Algebra Appl. 29, 1980) searches one Krylov
     space for all columns.  The iteration runs on the columns of b scaled
     to unit norm, so every column's target is tol.  Each step makes the
-    residuals of the columns still above their targets M-conjugate to the
-    previous search block P (Z = R + P beta with
-    beta = -(P^T M P)^-1 (M P)^T R) and takes an orthonormal basis of Z as
-    the new P.  A pivoted Cholesky factorisation of Z^T Z builds that basis
-    and drops each column of Z whose distance from the span of those kept
-    falls below _DEFLATE_RTOL times the longest column; that rank deflation
-    (Ji & Li, BIT 57, 2017) keeps P^T M P invertible when columns repeat or
-    H > n.  Every nonzero column then moves by
-    alpha = (P^T M P)^-1 P^T R, so the columns that already meet their
-    targets keep improving in the M-norm.  Besides the products with the
-    n-row blocks, all dense work is on r x r matrices, r <= H.
+    residual block R M-conjugate to the previous search block P
+    (Z = R + P beta with beta = -(P^T M P)^-1 (M P)^T R) and takes an
+    orthonormal basis of Z as the new P (:func:`_search_basis`).  That
+    basis leaves out each column of Z within _DEFLATE_RTOL of the span of
+    those kept, judged at the column's own length, however short; this
+    rank deflation (Ji & Li, BIT 57, 2017) keeps P^T M P invertible when
+    columns repeat or H > n.  Every column stays in R, also once it meets
+    its target, so each step's search space is built from the whole
+    block, and every nonzero column moves by alpha = (P^T M P)^-1 P^T R.
+    Besides the products with the n-row blocks, and a Householder QR of Z
+    in the steps where a column nears the span of the others, all dense
+    work is on r x r matrices, r <= H.
 
     Once every recurrence residual meets its target, the residual block of
     the unscaled problem is recomputed explicitly and decides the stop; a
@@ -242,6 +245,7 @@ def _block_cg(matvec, b: np.ndarray, tol: float, max_iter: int):
     targets = tol * scale
     x = np.zeros_like(bl)
     r = bl / scale
+    work = np.empty_like(x)  # one n-row buffer for Z and the updates, not one per product
     res = np.ones(live.size)
     p = q = c_inv = None  # the last search block, M p and (p^T M p)^-1
     tri = np.tri(h)  # masks the triangle LAPACK leaves unreferenced
@@ -249,8 +253,7 @@ def _block_cg(matvec, b: np.ndarray, tol: float, max_iter: int):
     verifications = 2  # recurrence drift guard, as in the vector loop
 
     while live.size:
-        act = res > tol
-        if not act.any():
+        if np.all(res <= tol):
             x_live = x * scale
             true_r = bl - matvec(x_live)
             true_res = np.sqrt(np.einsum("ij,ij->j", true_r, true_r))
@@ -266,7 +269,6 @@ def _block_cg(matvec, b: np.ndarray, tol: float, max_iter: int):
                 )
             verifications -= 1
             r, res = true_r / scale, true_res / scale
-            act = res > tol
             p = None
         if steps >= max_iter:
             k = int(np.argmax(res))
@@ -274,20 +276,13 @@ def _block_cg(matvec, b: np.ndarray, tol: float, max_iter: int):
                 f"block conjugate gradient exceeded {max_iter} steps on column {live[k]} "
                 f"(residual {res[k] * scale[k]:.3e}, target {targets[k]:.3e})"
             )
-        z = r if act.all() else r[:, act]
-        if p is not None:
-            z = z - p @ (c_inv @ (q.T @ z))
-        # Pivoted Cholesky Z^T Z = L L^T, with Z's columns in pivot order,
-        # stops at the first pivot below _DEFLATE_RTOL^2 of the largest
-        # diagonal entry; the kept columns Z_r give P = Z_r L^-T.
-        gram = z.T @ z
-        fac, piv, rank, _ = lapack.dpstrf(
-            gram, tol=_DEFLATE_RTOL**2 * gram.diagonal().max(), lower=1
-        )
-        l_inv = lapack.dtrtri(fac[:rank, :rank], lower=1)[0] * tri[:rank, :rank]
-        basis = np.zeros((z.shape[1], rank))
-        basis[piv[:rank] - 1] = l_inv.T
-        p = z @ basis
+        if p is None:
+            z = r
+        else:
+            z = np.matmul(p, c_inv @ -(q.T @ r), out=work)
+            z += r
+        p = z @ _search_basis(z, tri)
+        rank = p.shape[1]
         q = matvec(p)
         chol, info = lapack.dpotrf(p.T @ q, lower=1)
         if info != 0:
@@ -298,8 +293,8 @@ def _block_cg(matvec, b: np.ndarray, tol: float, max_iter: int):
         half = lapack.dtrtri(chol, lower=1)[0] * tri[:rank, :rank]
         c_inv = half.T @ half  # (P^T M P)^-1
         alpha = c_inv @ (p.T @ r)
-        x += p @ alpha
-        r -= q @ alpha
+        x += np.matmul(p, alpha, out=work)
+        r -= np.matmul(q, alpha, out=work)
         res = np.sqrt(np.einsum("ij,ij->j", r, r))
         steps += 1
 
@@ -307,6 +302,41 @@ def _block_cg(matvec, b: np.ndarray, tol: float, max_iter: int):
         SpdSolveInfo(steps if b_norms[k] > 0.0 else 0, float(residuals[k])) for k in range(h)
     )
     return x_out, SpdSolveInfo(steps, float(residuals.max(initial=0.0)), columns)
+
+
+def _search_basis(z: np.ndarray, tri: np.ndarray) -> np.ndarray:
+    """The (k, r) matrix B for which Z B is an orthonormal basis of Z's columns.
+
+    Each column of Z is judged at its own length: one whose distance from
+    the span of those kept is below _DEFLATE_RTOL of its length is left
+    out.  Pivoted Cholesky of the scaled Gram matrix D^-1 Z^T Z D^-1 = L L^T,
+    with D the column lengths, is the cheap route; it resolves distances
+    only down to _GRAM_RTOL, since the Gram matrix squares them, so when a
+    column falls that close to the others the basis comes from a Householder
+    QR of Z instead.  ``tri`` is np.tri(k) or larger.
+    """
+    k = z.shape[1]
+    gram = z.T @ z
+    lengths = np.sqrt(gram.diagonal())
+    lengths[lengths == 0.0] = 1.0
+    scaled = gram / lengths / lengths[:, None]
+    fac, piv, rank, _ = lapack.dpstrf(scaled, tol=_GRAM_RTOL**2, lower=1)
+    if rank == k:
+        # Z D^-1 Pi = P L^T with Pi the pivot order.
+        inverse = lapack.dtrtri(fac, lower=1)[0].T * tri[:k, :k].T
+    else:
+        # Z D^-1 = Q R with Q never formed, and R Pi = Q2 R2 pivoted, so that
+        # Z D^-1 Pi = (Q Q2) R2 and |R2_jj| is the distance of the j-th
+        # pivoted column from the span of those before it.  Householder QR
+        # is backward stable column by column, so R D^-1 is the factor of
+        # the scaled columns.
+        fac, piv = lapack.dgeqp3(np.linalg.qr(z, mode="r") / lengths)[:2]
+        rank = int(np.count_nonzero(np.abs(fac.diagonal()) > _DEFLATE_RTOL))
+        inverse = lapack.dtrtri(fac[:rank, :rank])[0] * tri[:rank, :rank].T
+    kept = piv[:rank] - 1
+    basis = np.zeros((k, rank))
+    basis[kept] = inverse / lengths[kept, None]
+    return basis
 
 
 # --- linear programming -------------------------------------------------------

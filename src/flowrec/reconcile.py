@@ -227,13 +227,13 @@ def _l2_result(
 
     CG applies S^T W S as v -> S^T (w * (S v)), or S^T (S v) without
     weights, so the Gram matrix, several times denser than S, is never
-    formed.  The forecasts are packaged as one panel: an (n, H) block y is
-    solved by one block CG, lifted by one product S B, and given its H loss
-    values in one vectorised pass and its coherence reports in one check.
-    It gives a list of H results in column order; each carries the block's
-    step count, its column's gradient-norm certificate (twice its explicit
-    CG residual) and an equal share of the block's wall time.  A vector y
-    runs the same code as the one-column case and gives one result.
+    formed.  A vector y gives one result, packaged as every reconciler's.
+    An (n, H) block y is packaged as one panel: one block CG solves it, one
+    product S B lifts it, one vectorised pass gives its H loss values and
+    one check its coherence reports.  It gives a list of H results in
+    column order; each carries the block's step count, its column's
+    gradient-norm certificate (twice its explicit CG residual) and an equal
+    share of the block's wall time.
     """
     s, st = agg.matrix, agg.matrix_t
     w = loss.resolved_weights(agg.n)
@@ -244,24 +244,20 @@ def _l2_result(
         rhs, matvec = st @ (wy * y), lambda v: st @ (wy * (s @ v))
     b, info = solve_spd_with_info(matvec, rhs, tol=tol)
     wall = time.perf_counter() - t0
+    if y.ndim == 1:
+        stats = SolverStats(method, info.iterations, wall, gradient_norm=2.0 * info.residual_norm)
+        return _package(y, b, agg, loss, stats, like=yhat)
     lifted = s @ b
     adjustment = lifted - y
-    losses = np.atleast_1d(w @ (adjustment * adjustment))
+    losses = w @ (adjustment * adjustment)
     reports = check_coherence(lifted, agg)
-    if y.ndim == 1:
-        columns, reports = (info,), [reports]
-    else:
-        columns = info.columns
-    h = len(columns)
-    lifted, b = lifted.reshape(agg.n, h), b.reshape(agg.n_paths, h)
+    share = wall / y.shape[1]
     results = []
-    for k, col in enumerate(columns):
-        stats = SolverStats(method, col.iterations, wall / h, gradient_norm=2.0 * col.residual_norm)
-        y_tilde = _vector_like(lifted[:, k], yhat)
-        if y.ndim == 2:
-            y_tilde.horizon = k + 1
+    for k, col in enumerate(info.columns):
+        stats = SolverStats(method, col.iterations, share, gradient_norm=2.0 * col.residual_norm)
+        y_tilde = ForecastVector(lifted[:, k], horizon=k + 1)
         results.append(ReconciliationResult(y_tilde, b[:, k], float(losses[k]), reports[k], stats))
-    return results if y.ndim == 2 else results[0]
+    return results
 
 
 def reconcile_l2(yhat, agg: FlowAggregationMatrix, tol: float = 1e-12) -> ReconciliationResult:

@@ -3,16 +3,17 @@
 Usage, from anywhere:
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload NAME \
-        --first-seed N --pairs K --label LABEL [--workload NAME ...] [--out FILE]
+        --first-seed N --pairs K --label LABEL [--workload NAME ...]
 
 PARENT_DIR and CHANGE_DIR are two flowrec checkouts, each with its own
 ``perfbench/`` and ``BENCHMARK.json``.  For every workload, pair k runs
 ``python3 perfbench/run.py --workload NAME --seed N+k --seconds S --trace 0``
 in both checkouts, the parent first in even pairs and the change first in
 odd ones; S is ``run_seconds`` from the parent's ``BENCHMARK.json``.  The
-script writes ``BENCH_<label>.json`` (or FILE) with every run, each side's
-quartiles per end-to-end metric, the pairs each side won, the gain verdict
-and each metric's median change against its ``BENCHMARK.json`` bound:
+script writes ``BENCH_<label>.json`` in the current directory with every
+run, each side's quartiles per end-to-end metric, the pairs each side won,
+the gain verdict and each metric's median change against its
+``BENCHMARK.json`` bound:
 
 * A gain holds when the change wins at least nine tenths of the pairs, ties
   counting for neither side, and its median beats the parent's by more than
@@ -132,7 +133,6 @@ def main() -> int:
     ap.add_argument("--first-seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
-    ap.add_argument("--out", default=None, help="output file (default BENCH_<label>.json)")
     args = ap.parse_args()
 
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
@@ -166,7 +166,7 @@ def main() -> int:
         "runs": runs,
         "summary": summary,
     }
-    out = args.out or f"BENCH_{args.label}.json"
+    out = f"BENCH_{args.label}.json"
     with open(out, "w") as fh:
         json.dump(bench, fh, indent=1, sort_keys=True)
         fh.write("\n")

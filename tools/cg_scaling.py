@@ -2,19 +2,21 @@
 
 Usage, from anywhere:
 
-    python3 tools/cg_scaling.py PARENT_DIR CHANGE_DIR [--nodes 100,300,1000] \
-        [--horizons 24] [--repeats 5] [--out FILE]
+    python3 tools/cg_scaling.py PARENT_DIR CHANGE_DIR [--out FILE]
 
-For each size N, an instance ``GeneratorConfig(nodes=N, seed=4000)`` with
-about 3N edges (``density_for_edge_target``) gets an (n, H) panel of base
+For each size N in ``NODES``, an instance
+``GeneratorConfig(nodes=N, seed=4000)`` with about 3N edges
+(``density_for_edge_target``) gets an (n, HORIZONS) panel of base
 forecasts: its truth scaled by a daily cycle plus 5 % Gaussian noise, as in
 ``perfbench``'s ``reconcile-l2-h24``.  Each checkout then solves
-S^T S B = S^T Y with ``solve_spd_with_info`` at tol 1e-10, in its own
+S^T S B = S^T Y with ``solve_spd_with_info`` at tol 1e-10, in a fresh
 process with flowrec imported from its ``src`` and every BLAS pool pinned
-to one thread; the sizes alternate which checkout runs first.  Reported
-per side: the median wall time over ``--repeats`` solves and the operator
-steps, the largest per-column iteration count (one column's CG
-iterations in a lockstep solve, the block's step count in a block solve).
+to one thread, which times one solve after an untimed one.  The two
+checkouts take ``REPEATS`` turns each, alternating which goes first, so
+that a change in the machine's speed meets both sides.  Reported per
+side: every time, their median and the operator steps, the largest
+per-column iteration count (one column's CG iterations in a lockstep
+solve, the block's step count in a block solve).
 With ``--out``, the table is stored under ``"scaling"`` in FILE, which is
 created or updated in place.
 """
@@ -24,16 +26,19 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 
 PINNED = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
           "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+NODES = (100, 300, 1000, 3000)
+HORIZONS = 24
+REPEATS = 5
 
 
-def measure(nodes: int, horizons: int, repeats: int) -> dict:
+def measure(nodes: int) -> dict:
     """Run inside a child whose ``PYTHONPATH`` is one checkout's ``src``."""
-    import statistics
     import time
 
     import numpy as np
@@ -46,25 +51,22 @@ def measure(nodes: int, horizons: int, repeats: int) -> dict:
     inst = generate_instance(cfg, 0)
     s, st = inst.agg.matrix, inst.agg.matrix_t
     rng = np.random.default_rng(4000 + nodes)
-    cycle = 1.0 + 0.2 * np.sin(2 * np.pi * np.arange(horizons) / 24.0)
+    cycle = 1.0 + 0.2 * np.sin(2 * np.pi * np.arange(HORIZONS) / 24.0)
     truth = inst.y_true.data[:, None] * cycle[None, :]
     panel = truth + rng.normal(0.0, 0.05 * float(np.abs(truth).mean()), truth.shape)
     rhs = st @ panel
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        _, info = solve_spd_with_info(lambda v: st @ (s @ v), rhs, tol=1e-10)
-        times.append(time.perf_counter() - start)
-    return {"nodes": nodes, "paths": inst.agg.n_paths, "edges": len(inst.network.edges),
-            "horizons": horizons, "median_ms": 1e3 * statistics.median(times),
-            "steps": max(c.iterations for c in info.columns), "total_iterations": info.iterations}
+    solve_spd_with_info(lambda v: st @ (s @ v), rhs, tol=1e-10)
+    start = time.perf_counter()
+    _, info = solve_spd_with_info(lambda v: st @ (s @ v), rhs, tol=1e-10)
+    return {"paths": inst.agg.n_paths, "edges": len(inst.network.edges),
+            "ms": 1e3 * (time.perf_counter() - start),
+            "steps": max(c.iterations for c in info.columns)}
 
 
-def run_child(root: str, nodes: int, horizons: int, repeats: int) -> dict:
+def run_child(root: str, nodes: int) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED="0")
     env.update({name: "1" for name in PINNED})
-    cmd = [sys.executable, os.path.abspath(__file__), "--child", str(nodes),
-           str(horizons), str(repeats)]
+    cmd = [sys.executable, os.path.abspath(__file__), "--child", str(nodes)]
     done = subprocess.run(cmd, env=env, capture_output=True, text=True, check=False)
     if done.returncode != 0:
         raise RuntimeError(f"child for {root} at {nodes} nodes failed:\n{done.stderr[-2000:]}")
@@ -72,26 +74,29 @@ def run_child(root: str, nodes: int, horizons: int, repeats: int) -> dict:
 
 
 def main() -> int:
-    if len(sys.argv) == 5 and sys.argv[1] == "--child":
-        print(json.dumps(measure(*map(int, sys.argv[2:]))))
+    if len(sys.argv) == 3 and sys.argv[1] == "--child":
+        print(json.dumps(measure(int(sys.argv[2]))))
         return 0
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="parent checkout directory")
     ap.add_argument("change", help="change checkout directory")
-    ap.add_argument("--nodes", default="100,300,1000")
-    ap.add_argument("--horizons", type=int, default=24)
-    ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--out", default=None, help="JSON file to store the table in")
     args = ap.parse_args()
 
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     rows = []
-    for k, nodes in enumerate(int(v) for v in args.nodes.split(",")):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        row = {side: run_child(roots[side], nodes, args.horizons, args.repeats) for side in order}
-        rows.append({"nodes": nodes, "paths": row["parent"]["paths"],
-                     "edges": row["parent"]["edges"], "horizons": args.horizons,
-                     "parent": row["parent"], "change": row["change"]})
+    for nodes in NODES:
+        runs = {side: [] for side in roots}
+        for k in range(REPEATS):
+            for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                runs[side].append(run_child(roots[side], nodes))
+        row = {"nodes": nodes, "paths": runs["parent"][0]["paths"],
+               "edges": runs["parent"][0]["edges"], "horizons": HORIZONS}
+        for side, done in runs.items():
+            times = [run["ms"] for run in done]
+            row[side] = {"ms": times, "median_ms": statistics.median(times),
+                         "steps": done[0]["steps"]}
+        rows.append(row)
         print(f"{nodes} nodes: {row['parent']['median_ms']:.1f} ms, {row['parent']['steps']} steps"
               f" -> {row['change']['median_ms']:.1f} ms, {row['change']['steps']} steps")
     if args.out:
@@ -101,9 +106,9 @@ def main() -> int:
                 bench = json.load(fh)
         bench["scaling"] = {
             "description": (
-                f"tools/cg_scaling.py: median of {args.repeats} solve_spd_with_info calls on an "
-                f"(n, {args.horizons}) panel per size, tol 1e-10, one thread, parent then "
-                "change in alternating order; steps = largest per-column iteration count"),
+                f"tools/cg_scaling.py: {REPEATS} alternating turns per side of one timed "
+                f"solve_spd_with_info call on an (n, {HORIZONS}) panel per size, tol 1e-10, one "
+                "thread, each in a fresh process; steps = largest per-column iteration count"),
             "rows": rows,
         }
         with open(args.out, "w") as fh:
