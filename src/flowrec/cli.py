@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 validation/input error, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -222,7 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-edge violation budget; switches to the relaxed l2 solver",
     )
     rec.add_argument("--weights", default=None, help="per-component weights CSV")
-    rec.add_argument("--box", default=None, help="bounds CSV (kind,id,lower,upper)")
+    rec.add_argument(
+        "--box",
+        default=None,
+        help="bounds CSV (kind,id,lower,upper); l1 takes bounds on every level, "
+        "the smooth losses on path components only",
+    )
     rec.add_argument("--out", required=True, help="output forecast CSV")
     rec.set_defaults(func=_cmd_reconcile)
 
@@ -289,9 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs far more than a parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except Disconnected as exc:

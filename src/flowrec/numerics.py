@@ -1,6 +1,6 @@
 """Numerical kernels shared by the reconcilers.
 
-Four routines live here and nothing else in the package does heavy
+Three routines live here and nothing else in the package does heavy
 numerics itself:
 
 * :func:`solve_spd_with_info`, a conjugate-gradient solve for symmetric
@@ -21,10 +21,9 @@ numerics itself:
   dual revised simplex (``scipy.optimize.linprog(method="highs")``).  The
   strong-duality gap and dual infeasibility are recomputed here from the
   returned duals so callers can certify optimality.
-* :func:`minimize_semismooth_newton`, damped Newton steps on a generalised
-  Hessian, for the piecewise-quadratic Huber and epsilon-relaxed problems.
-* :func:`minimize_smooth_convex`, gradient descent with Armijo
-  backtracking, optionally projected, for custom and box-bounded losses.
+* :func:`minimize_smooth_convex`, damped semismooth Newton steps on a
+  generalised Hessian, projected Newton steps on a box, for every smooth
+  loss: squared under a box, Huber, custom and the epsilon-relaxed band.
 """
 
 from __future__ import annotations
@@ -457,143 +456,107 @@ class MinimizeResult:
 
 
 def minimize_smooth_convex(
-    fun,
-    x0: np.ndarray,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
-    project=None,
-) -> MinimizeResult:
-    """Gradient descent with Armijo backtracking, optionally projected.
-
-    The trial step each iteration starts from a spectral (Barzilai-Borwein)
-    estimate when curvature information from the previous step is available,
-    which avoids the zigzagging of a fixed step on ill-conditioned problems;
-    backtracking then enforces sufficient decrease.
-
-    Args:
-        fun: callable x -> (value, gradient).
-        x0: starting point.
-        tol: stop once the stationarity norm is <= tol * (1 + |value|).
-            Unconstrained, that norm is ||gradient||; with a projection it
-            is the norm of the unit-step gradient mapping.
-        max_iter: outer iteration budget.
-        project: optional callable mapping a point onto the feasible set.
-
-    Raises:
-        NoConvergence: budget exhausted with the criterion unmet.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    if project is not None:
-        x = project(x)
-    f, g = fun(x)
-    step = 1.0
-    x_prev = None
-    g_prev = None
-
-    for it in range(max_iter + 1):
-        if project is None:
-            crit = float(np.linalg.norm(g))
-        else:
-            crit = float(np.linalg.norm(x - project(x - g)))
-        if crit <= tol * (1.0 + abs(f)):
-            return MinimizeResult(x, float(f), crit, it)
-        if it == max_iter:
-            raise NoConvergence(
-                f"gradient descent used all {max_iter} iterations, criterion {crit:.3e} "
-                f"above target {tol * (1.0 + abs(f)):.3e}"
-            )
-
-        if x_prev is not None:
-            s = x - x_prev
-            dg = g - g_prev
-            sy = float(s @ dg)
-            if sy > 1e-300:
-                step = min(max(float(s @ s) / sy, 1e-12), 1e12)
-            else:
-                step = min(1.0, 2.0 * step)
-        else:
-            step = min(1.0, 2.0 * step)
-        accepted = False
-        for _ in range(60):
-            x_trial = x - step * g
-            if project is not None:
-                x_trial = project(x_trial)
-            descent = float(g @ (x_trial - x))
-            if descent >= 0.0:
-                break
-            f_trial, g_trial = fun(x_trial)
-            if f_trial <= f + _ARMIJO_C * descent + 1e-15 * (1.0 + abs(f)):
-                x_prev, g_prev = x, g
-                x, f, g = x_trial, f_trial, g_trial
-                accepted = True
-                break
-            step *= _BACKTRACK_SHRINK
-        if not accepted:
-            # No acceptable step: treat as stationary if the criterion is
-            # close, otherwise report failure honestly.
-            if crit <= 10.0 * tol * (1.0 + abs(f)):
-                return MinimizeResult(x, float(f), crit, it)
-            raise NoConvergence(
-                f"line search failed at iteration {it} with criterion {crit:.3e}"
-            )
-
-
-def minimize_semismooth_newton(
-    fun, hessian, x0: np.ndarray, tol: float = 1e-8, max_iter: int = 200
+    fun, hessian, x0: np.ndarray, tol: float = 1e-8, max_iter: int = 200, bounds=None
 ) -> MinimizeResult:
     """Damped semismooth Newton with Armijo backtracking for a convex C1 objective.
 
     Each step solves (H + mu I) d = -g, where H is the generalised Hessian
-    and mu = min(||g||, 1) keeps the system definite where H is singular.
-    CG stops at the relative residual min(0.1, sqrt(||g|| / (1 + |f|))), a
-    forcing term that tightens near the optimum (Qi & Sun, Math. Prog.
-    1993; Li, Sun & Toh, SIOPT 2018).
+    and mu = min(crit, 1), crit the stationarity norm below, keeps the
+    system definite where H is singular.  CG stops at the relative residual
+    min(0.1, sqrt(crit / (1 + |f|))), a forcing term that tightens near the
+    optimum (Qi & Sun, Math. Prog. 1993; Li, Sun & Toh, SIOPT 2018).
+
+    With ``bounds`` the steps are projected Newton steps (Bertsekas, SIAM
+    J. Control Optim. 20(2), 1982).  A coordinate within
+    eps = min(crit, 1e-3) of a bound, with the gradient pushing it out, is
+    held: it steps by -g.  The Newton system is solved on the other, free
+    coordinates only, and Armijo backtracking runs along the projection
+    arc P(x + t d), with the predicted decrease g^T (P(x + t d) - x).
+
+    Near the optimum the change in f falls below its rounding error; a
+    trial whose f is within 1e-12 (1 + |f|) of the current one is accepted
+    only if it shrinks the stationarity norm, and Armijo decides the rest
+    (Hager & Zhang, SIOPT 2005).
 
     Args:
         fun: callable x -> (value, gradient).
         hessian: callable x -> the symmetric positive semidefinite
             generalised Hessian at x, as a callable v -> H v (trusted
             symmetric).
-        x0: starting point.
-        tol: stop once ||gradient|| <= tol * (1 + |value|).
+        x0: starting point; projected onto the box first.
+        tol: stop once the stationarity norm is <= tol * (1 + |value|).
+            Unconstrained, that norm is ||gradient||; on a box it is the
+            projected-gradient norm ||x - P(x - gradient)||.
         max_iter: Newton-step budget.
+        bounds: optional (lower, upper) arrays; -inf/+inf leave a side open.
 
     Raises:
         NoConvergence: budget exhausted, or the line search failed, with the
             criterion unmet.
     """
     x = np.asarray(x0, dtype=float).copy()
+    if bounds is None:
+        project = None
+    else:
+        lower, upper = (np.asarray(v, dtype=float) for v in bounds)
+
+        def project(v):
+            return np.clip(v, lower, upper)
+
+        x = project(x)
+
+    def stationarity(x, g) -> float:
+        return float(np.linalg.norm(g if project is None else x - project(x - g)))
+
     f, g = fun(x)
     for it in range(max_iter + 1):
-        g_norm = float(np.linalg.norm(g))
+        crit = stationarity(x, g)
         target = tol * (1.0 + abs(f))
-        if g_norm <= target:
-            return MinimizeResult(x, float(f), g_norm, it)
+        if crit <= target:
+            return MinimizeResult(x, float(f), crit, it)
         if it == max_iter:
             raise NoConvergence(
-                f"semismooth Newton used all {max_iter} steps, gradient norm "
-                f"{g_norm:.3e} above target {target:.3e}"
+                f"semismooth Newton used all {max_iter} steps, stationarity norm "
+                f"{crit:.3e} above target {target:.3e}"
             )
         apply_h = hessian(x)
-        mu = min(g_norm, 1.0)
-        forcing = min(0.1, float(np.sqrt(g_norm / (1.0 + abs(f)))))
-        d, _ = solve_spd_with_info(lambda v: apply_h(v) + mu * v, -g, tol=forcing)
+        mu = min(crit, 1.0)
+        forcing = min(0.1, float(np.sqrt(crit / (1.0 + abs(f)))))
+        if project is None:
+            d, _ = solve_spd_with_info(lambda v: apply_h(v) + mu * v, -g, tol=forcing)
+        else:
+            eps = min(crit, 1e-3)
+            held = ((x - lower <= eps) & (g > 0.0)) | ((upper - x <= eps) & (g < 0.0))
+            free = ~held
+            # The masked system is mu I on the held coordinates, where its
+            # right-hand side is zero, so CG's iterates stay on the free ones.
+            d, _ = solve_spd_with_info(
+                lambda v: free * apply_h(free * v) + mu * v, -g * free, tol=forcing
+            )
+            d[held] = -g[held]
         slope = float(g @ d)
         step = 1.0
         for _ in range(60):
-            f_trial, g_trial = fun(x + step * d)
-            # Near the optimum the decrease in f falls below its rounding
-            # error; a step level in f within that error must shrink the
-            # gradient instead (Hager & Zhang, SIOPT 2005).
-            if f_trial <= f + _ARMIJO_C * step * slope or (
-                f_trial <= f + 1e-12 * (1.0 + abs(f)) and np.linalg.norm(g_trial) < g_norm
-            ):
-                x, f, g = x + step * d, f_trial, g_trial
+            x_trial = x + step * d
+            if project is None:
+                decrease = step * slope
+            else:
+                x_trial = project(x_trial)
+                decrease = float(g @ (x_trial - x))
+            f_trial, g_trial = fun(x_trial)
+            if abs(f_trial - f) <= 1e-12 * (1.0 + abs(f)):
+                accept = stationarity(x_trial, g_trial) < crit
+            else:
+                # A bent projection arc can predict no decrease; off a box
+                # step * slope < 0 always.
+                accept = decrease < 0.0 and f_trial <= f + _ARMIJO_C * decrease
+            if accept:
+                x, f, g = x_trial, f_trial, g_trial
                 break
             step *= _BACKTRACK_SHRINK
         else:
-            if g_norm <= 10.0 * target:
-                return MinimizeResult(x, float(f), g_norm, it)
+            if crit <= 10.0 * target:
+                return MinimizeResult(x, float(f), crit, it)
             raise NoConvergence(
-                f"Newton line search failed at step {it} with gradient norm {g_norm:.3e}"
+                f"Newton line search failed at step {it} with stationarity norm {crit:.3e}"
             )

@@ -21,8 +21,10 @@ differs is the objective:
 * :func:`reconcile_l1` minimises the (weighted) sum of absolute
   adjustments as a linear program with one equality row per component,
   the adjustment split into its positive and negative parts.
-* :func:`reconcile_general` handles smooth symmetric losses: Huber by
-  semismooth Newton steps, custom and box-bounded ones by gradient descent.
+* :func:`reconcile_general` handles smooth symmetric losses: l2 without a
+  box by the normal equations, and l2 under a box, Huber and custom losses
+  by one damped semismooth Newton kernel, with projected Newton steps on a
+  box of path components.
 
 A root-mean-square objective shares its minimiser with the mean-square
 one, so no separate solver exists for it.
@@ -45,12 +47,7 @@ from .errors import (
     RankDeficient,
 )
 from .network import FlowAggregationMatrix
-from .numerics import (
-    minimize_semismooth_newton,
-    minimize_smooth_convex,
-    solve_lp,
-    solve_spd_with_info,
-)
+from .numerics import minimize_smooth_convex, solve_lp, solve_spd_with_info
 from .series import (
     CoherenceReport,
     ForecastVector,
@@ -404,13 +401,24 @@ def reconcile_l1(
     return _package(y, b, agg, loss, stats, like=yhat)
 
 
-def _smooth_slope(loss: LossSpec):
+def _smooth_parts(loss: LossSpec, w: np.ndarray):
+    """(f, f', c) of a smooth loss, c(u) the weights of its generalised
+    Hessian S^T diag(c(|r|)) S: 2w for l2, w [|r| <= delta] for Huber, and
+    for a custom loss w f'(u) / u, the IRLS majoriser (0 at u = 0), which
+    needs no second derivative.  For f(u) = u^p it is the Newton
+    curvature w p (p - 1) u^(p-2) divided by p - 1."""
     if loss.kind == "l2":
-        return (lambda u: u * u), (lambda u: 2.0 * u)
+        two_w = 2.0 * w
+        return (lambda u: u * u), (lambda u: 2.0 * u), (lambda u: two_w)
     if loss.kind == "huber":
         d = float(loss.delta)
-        return (lambda u: huber_value(u, d)), (lambda u: huber_slope(u, d))
-    return loss.f, loss.f_prime
+        return (lambda u: huber_value(u, d)), (lambda u: huber_slope(u, d)), (lambda u: w * (u <= d))
+
+    def curvature(u: np.ndarray) -> np.ndarray:
+        slope = np.asarray(loss.f_prime(u), dtype=float)
+        return w * np.divide(slope, u, out=np.zeros_like(u), where=u > 0.0)
+
+    return loss.f, loss.f_prime, curvature
 
 
 def reconcile_general(
@@ -419,28 +427,30 @@ def reconcile_general(
     loss: LossSpec,
     box: BoxConstraints | None = None,
     tol: float = 1e-8,
-    max_iter: int = 10_000,
+    max_iter: int = 200,
     start: np.ndarray | None = None,
 ) -> ReconciliationResult | list[ReconciliationResult]:
     """Reconcile under any smooth symmetric loss on the adjustments.
 
     The objective sum_i w_i f(|(S b)_i - yhat_i|) is differentiable in b
     exactly when f'(0) = 0; the absolute loss fails that and is rejected
-    with :class:`NonSmoothLoss` (use :func:`reconcile_l1`).  Plain l2 is
-    routed through the normal equations; under l2 without a box, ``yhat``
-    may also be an (n, H) block of H forecasts (horizons), solved as one
-    block CG and returned as a list of H results in column order,
-    the h-th with horizon h + 1.  Huber without a box runs damped
-    semismooth Newton steps on the generalised Hessian
-    S^T diag(w [|(S b - yhat)_i| <= delta]) S, applied through S and never
-    formed; custom losses, which carry no second derivative, and box-bounded
-    ones run gradient descent with Armijo backtracking.  Both start from
-    ``start``, else the base path values.
+    with :class:`NonSmoothLoss` (use :func:`reconcile_l1`).  Plain l2
+    without a box is routed through the normal equations; ``yhat`` may
+    then also be an (n, H) block of H forecasts (horizons), solved as one
+    block CG and returned as a list of H results in column order, the h-th
+    with horizon h + 1.  Every other smooth loss (l2 under a box, Huber,
+    custom) runs the one damped semismooth Newton kernel,
+    :func:`minimize_smooth_convex`, on the generalised Hessian
+    S^T diag(c) S, applied through S and never formed, with c = 2w for l2,
+    w [|r_i| <= delta] for Huber and the IRLS weights w f'(|r_i|) / |r_i|
+    for a custom loss.  It starts from ``start``, else the base path
+    values, and ``max_iter`` bounds its Newton steps.  The certificate is
+    the gradient norm, or under a box the projected-gradient norm.
 
-    Box constraints are honoured by projection, which is exact only where
-    bounds touch path components (those coordinates are the optimisation
-    variables themselves); finite bounds on node or edge components are
-    rejected here and belong to the LP route.
+    Box constraints are honoured by projected Newton steps, which are exact
+    only where bounds touch path components (those coordinates are the
+    optimisation variables themselves); finite bounds on node or edge
+    components are rejected here and belong to the LP route.
     """
     t0 = time.perf_counter()
     n = agg.n
@@ -470,7 +480,7 @@ def reconcile_general(
                 "makes the objective nonsmooth, use reconcile_l1"
             )
 
-    project = None
+    bounds = None
     if box is not None:
         if box.lower.shape != (n,):
             raise DimensionMismatch(f"box bounds must have length {n}")
@@ -483,14 +493,12 @@ def reconcile_general(
                 "smooth-loss reconciliation supports box bounds on path "
                 "components only; bounds on aggregated components need reconcile_l1"
             )
-        lo = box.lower[imap.path_slice]
-        hi = box.upper[imap.path_slice]
-        project = lambda b: np.clip(b, lo, hi)
+        bounds = (box.lower[imap.path_slice], box.upper[imap.path_slice])
 
     if loss.kind == "l2" and box is None:
         return _l2_result(yhat, y, agg, loss, "general:l2", min(tol, 1e-10), t0)
 
-    f, f_prime = _smooth_slope(loss)
+    f, f_prime, curvature = _smooth_parts(loss, w)
     s, st = agg.matrix, agg.matrix_t
 
     def objective(b: np.ndarray) -> tuple[float, np.ndarray]:
@@ -500,17 +508,14 @@ def reconcile_general(
         grad = st @ (w * np.asarray(f_prime(mag), dtype=float) * np.sign(r))
         return value, grad
 
+    def hessian(b: np.ndarray):
+        c = curvature(np.abs(s @ b - y))
+        return lambda v: st @ (c * (s @ v))
+
     b0 = np.asarray(start, dtype=float) if start is not None else y[agg.index_map.path_slice].copy()
     if b0.shape != (agg.n_paths,):
         raise DimensionMismatch(f"start must hold {agg.n_paths} path values")
-    if loss.kind == "huber" and project is None:
-        def hessian(b: np.ndarray):
-            wm = w * (np.abs(s @ b - y) <= loss.delta)
-            return lambda v: st @ (wm * (s @ v))
-
-        res = minimize_semismooth_newton(objective, hessian, b0, tol=tol, max_iter=max_iter)
-    else:
-        res = minimize_smooth_convex(objective, b0, tol=tol, max_iter=max_iter, project=project)
+    res = minimize_smooth_convex(objective, hessian, b0, tol=tol, max_iter=max_iter, bounds=bounds)
     wall = time.perf_counter() - t0
     stats = SolverStats(
         method=f"general:{loss.kind}",

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BadParameter
 from .network import FlowAggregationMatrix
-from .numerics import minimize_semismooth_newton
+from .numerics import minimize_smooth_convex
 from .reconcile import ReconciliationResult, SolverStats
 from .series import _as_component_vector, _vector_like, check_coherence
 
@@ -89,7 +89,7 @@ def reconcile_relaxed(
         d[edges] = active
         return lambda v: 2.0 * (st @ (d * (s @ v)))
 
-    res = minimize_semismooth_newton(objective, hessian, y_paths, tol=tol, max_iter=max_iter)
+    res = minimize_smooth_convex(objective, hessian, y_paths, tol=tol, max_iter=max_iter)
     p = res.x
 
     edge_sums = agg.ep @ p

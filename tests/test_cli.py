@@ -416,6 +416,23 @@ class TestReconcileErrors:
         assert rc == 2
         assert "epsilon" in capsys.readouterr().err
 
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        import flowrec.cli
+
+        builds = []
+        build = flowrec.cli.build_parser
+        monkeypatch.setattr(flowrec.cli, "build_parser", lambda: builds.append(1) or build())
+        flowrec.cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                with pytest.raises(SystemExit) as exc:
+                    main(["reconcile"])
+                assert exc.value.code == 2
+        finally:
+            flowrec.cli._parser.cache_clear()
+        assert builds == [1]
+        capsys.readouterr()
+
     def test_missing_required_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["reconcile"])

@@ -1,4 +1,4 @@
-"""Numerical kernels: sparse SPD solve, LP solve, semismooth Newton, smooth descent."""
+"""Numerical kernels: sparse SPD solve, LP solve, semismooth Newton."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from flowrec.errors import (
 )
 from flowrec.numerics import (
     SparseSpd,
-    minimize_semismooth_newton,
     minimize_smooth_convex,
     solve_lp,
     solve_spd_with_info,
@@ -618,7 +617,7 @@ class TestMinimizeSmoothConvex:
             d = x - c
             return float(d @ d), 2.0 * d
 
-        res = minimize_smooth_convex(fun, np.zeros(3), tol=1e-10)
+        res = minimize_smooth_convex(fun, lambda x: lambda v: 2.0 * v, np.zeros(3), tol=1e-10)
         assert np.allclose(res.x, c, atol=1e-8)
         assert res.gradient_norm <= 1e-10 * (1 + abs(res.value))
 
@@ -637,24 +636,35 @@ class TestMinimizeSmoothConvex:
             v = float(x[0])
             return huber(v) + huber(v - 10.0), np.array([slope(v) + slope(v - 10.0)])
 
-        res = minimize_smooth_convex(fun, np.array([5.0]), tol=1e-10)
+        def hessian(x):
+            v = float(x[0])
+            curvature = float(abs(v) <= 1.0) + float(abs(v - 10.0) <= 1.0)
+            return lambda d: curvature * d
+
+        res = minimize_smooth_convex(fun, hessian, np.array([5.0]), tol=1e-10)
         assert res.x[0] == pytest.approx(5.0, abs=0)
-        res = minimize_smooth_convex(fun, np.array([0.0]), tol=1e-10)
+        assert res.iterations == 0
+        res = minimize_smooth_convex(fun, hessian, np.array([0.0]), tol=1e-10)
         assert res.value == pytest.approx(9.0, abs=1e-9)
         assert 1.0 - 1e-6 <= res.x[0] <= 9.0 + 1e-6
 
     def test_quartic_matches_closed_form(self):
-        # First-order steps crawl on the flat quartic basin, so the gradient
-        # target is kept moderate.
+        # Newton steps shrink the quartic's offset by a third each, so the
+        # flat basin no longer needs a loose target or a large budget.
         def fun(x):
             return float((x[0] - 3) ** 4 + (x[1] + 1) ** 2), np.array(
                 [4 * (x[0] - 3) ** 3, 2 * (x[1] + 1)]
             )
 
-        res = minimize_smooth_convex(fun, np.zeros(2), tol=1e-6, max_iter=50_000)
-        assert res.x[1] == pytest.approx(-1.0, abs=1e-5)
-        assert abs(res.x[0] - 3.0) < 1e-1
-        assert res.gradient_norm <= 1e-5 * (1 + res.value)
+        def hessian(x):
+            diag = np.array([12.0 * (x[0] - 3) ** 2, 2.0])
+            return lambda v: diag * v
+
+        res = minimize_smooth_convex(fun, hessian, np.zeros(2), tol=1e-10)
+        assert res.x[1] == pytest.approx(-1.0, abs=1e-9)
+        assert abs(res.x[0] - 3.0) < 1e-3
+        assert res.gradient_norm <= 1e-10 * (1 + res.value)
+        assert res.iterations <= 40
 
     def test_projection_clamps_to_box(self):
         c = np.array([2.0, -3.0])
@@ -664,23 +674,42 @@ class TestMinimizeSmoothConvex:
             return float(d @ d), 2.0 * d
 
         res = minimize_smooth_convex(
-            fun, np.zeros(2), tol=1e-10, project=lambda x: np.clip(x, 0.0, 1.0)
+            fun, lambda x: lambda v: 2.0 * v, np.zeros(2), tol=1e-10,
+            bounds=(np.zeros(2), np.ones(2)),
         )
         assert np.allclose(res.x, [1.0, 0.0], atol=1e-9)
+        # The certificate is the projected-gradient norm, 0 at the corner.
+        _, g = fun(res.x)
+        assert res.gradient_norm == pytest.approx(
+            np.linalg.norm(res.x - np.clip(res.x - g, 0.0, 1.0)), abs=1e-12
+        )
 
     def test_budget_exhaustion_raises(self):
-        # A quadratic is solved in one exact step, so use the slow quartic.
+        # A quadratic is solved in one exact step, so use the slow quartic;
+        # a far quadratic with a budget of one step raises as well.
         def fun(x):
             d = x - 5.0
             return float((d**4).sum()), 4.0 * d**3
 
+        def hessian(x):
+            diag = 12.0 * (x - 5.0) ** 2
+            return lambda v: diag * v
+
         with pytest.raises(NoConvergence):
-            minimize_smooth_convex(fun, np.zeros(1), tol=1e-12, max_iter=3)
+            minimize_smooth_convex(fun, hessian, np.zeros(1), tol=1e-12, max_iter=3)
 
+        a = sp.identity(3, format="csr")
 
-class TestMinimizeSemismoothNewton:
-    @pytest.mark.parametrize("form", ["closure"])
-    def test_quadratic_converges_in_few_steps(self, form):
+        def far(x):
+            d = x - 100.0
+            return float(d @ d), 2.0 * d
+
+        with pytest.raises(NoConvergence):
+            minimize_smooth_convex(
+                far, lambda x: lambda v: 2.0 * (a @ v), np.zeros(3), tol=1e-14, max_iter=1
+            )
+
+    def test_quadratic_converges_in_few_steps(self):
         a = sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
         c = np.array([1.0, -2.0])
 
@@ -688,7 +717,7 @@ class TestMinimizeSemismoothNewton:
             return float(0.5 * x @ (a @ x) - c @ x), a @ x - c
 
         h = lambda v: a @ v
-        res = minimize_semismooth_newton(fun, lambda x: h, np.zeros(2), tol=1e-12)
+        res = minimize_smooth_convex(fun, lambda x: h, np.zeros(2), tol=1e-12)
         assert res.x == pytest.approx(np.linalg.solve(a.toarray(), c), abs=1e-10)
         assert res.iterations <= 6
 
@@ -708,18 +737,6 @@ class TestMinimizeSemismoothNewton:
             return lambda d: (curvature + 0.1) * d
 
         assert hessian(np.array([40.0]))(np.ones(1))[0] == pytest.approx(0.1)
-        res = minimize_semismooth_newton(fun, hessian, np.array([40.0]), tol=1e-12)
+        res = minimize_smooth_convex(fun, hessian, np.array([40.0]), tol=1e-12)
         assert res.x[0] == pytest.approx(3.0, abs=1e-10)
         assert res.gradient_norm <= 1e-12 * (1.0 + res.value)
-
-    def test_budget_exhaustion_raises(self):
-        a = sp.identity(3, format="csr")
-
-        def fun(x):
-            d = x - 100.0
-            return float(d @ d), 2.0 * d
-
-        with pytest.raises(NoConvergence):
-            minimize_semismooth_newton(
-                fun, lambda x: lambda v: 2.0 * (a @ v), np.zeros(3), tol=1e-14, max_iter=1
-            )

@@ -526,6 +526,80 @@ class TestGeneralLoss:
         assert evaluate_loss(LossSpec(kind="huber", delta=1.0), target, y) == pytest.approx(2.0)
 
 
+class TestSmoothDenseReference:
+    """The Newton kernel against scipy's L-BFGS-B on objectives written out here.
+
+    Each of 20 seeded instances gets random weights and a box on its path
+    components between the 30th and 70th percentiles of the base path
+    values.  The reference minimises the same weighted objective over the
+    path values with dense S, under the same bounds.
+    """
+
+    @staticmethod
+    def parts(kind, w):
+        """Dense (value, slope) of the weighted loss in the signed residual r."""
+        if kind == "l2":
+            return lambda r: w @ (r * r), lambda r: 2.0 * w * r
+        if kind == "huber":
+            value = lambda r: w @ np.where(np.abs(r) <= 1.0, 0.5 * r * r, np.abs(r) - 0.5)
+            return value, lambda r: w * np.clip(r, -1.0, 1.0)
+        return lambda r: w @ r**4, lambda r: 4.0 * w * r**3
+
+    @pytest.mark.parametrize(
+        "kind, boxed",
+        [("l2", True), ("huber", True), ("quartic", True), ("quartic", False)],
+    )
+    def test_matches_lbfgsb_with_a_recomputed_certificate(self, kind, boxed):
+        from scipy.optimize import minimize
+
+        rng = np.random.default_rng(7100)
+        specs = {
+            "l2": lambda w: LossSpec("l2", weights=w),
+            "huber": lambda w: LossSpec("huber", weights=w, delta=1.0),
+            "quartic": lambda w: LossSpec(
+                "custom", weights=w, f=lambda u: u**4, f_prime=lambda u: 4.0 * u**3
+            ),
+        }
+        for seed in range(7100, 7120):
+            inst = random_instance(nodes=12, seed=seed)
+            agg, y = inst.agg, inst.y_base.data
+            imap = agg.index_map
+            w = rng.uniform(0.5, 2.0, size=agg.n)
+            lo, hi = np.full(agg.n, -np.inf), np.full(agg.n, np.inf)
+            base_paths = y[imap.path_slice]
+            lo[imap.path_slice], hi[imap.path_slice] = np.percentile(base_paths, [30, 70])
+            box = BoxConstraints(lo, hi) if boxed else None
+            result = reconcile_general(y, agg, specs[kind](w), box=box)
+
+            dense = agg.matrix.toarray()
+            value, slope = self.parts(kind, w)
+            bounds = list(zip(lo[imap.path_slice], hi[imap.path_slice])) if boxed else None
+            ref = minimize(
+                lambda b: (value(dense @ b - y), dense.T @ slope(dense @ b - y)),
+                np.clip(base_paths, lo[imap.path_slice], hi[imap.path_slice]),
+                jac=True,
+                method="L-BFGS-B",
+                bounds=bounds,
+                options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 20_000},
+            )
+            b = result.b_tilde
+            ours = value(dense @ b - y)
+            assert ours == pytest.approx(result.loss_value, rel=1e-12)
+            assert abs(ours - ref.fun) <= 1e-6 * (1.0 + abs(ref.fun)), seed
+
+            grad = dense.T @ slope(dense @ b - y)
+            if boxed:
+                low, high = lo[imap.path_slice], hi[imap.path_slice]
+                assert np.all((low <= b) & (b <= high))
+                assert np.count_nonzero((b == low) | (b == high)) >= 3, seed
+                certificate = float(np.linalg.norm(b - np.clip(b - grad, low, high)))
+            else:
+                certificate = float(np.linalg.norm(grad))
+            target = 1e-8 * (1.0 + result.loss_value)
+            assert certificate == pytest.approx(result.stats.gradient_norm, rel=1e-6, abs=1e-3 * target)
+            assert certificate <= 1.001 * target, seed
+
+
 # ---------------------------------------------------------------------------
 # Flow conservation of reconciled outputs.
 # ---------------------------------------------------------------------------
