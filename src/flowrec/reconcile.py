@@ -402,11 +402,10 @@ def reconcile_l1(
 
 
 def _smooth_parts(loss: LossSpec, w: np.ndarray):
-    """(f, f', c) of a smooth loss, c(u) the weights of its generalised
-    Hessian S^T diag(c(|r|)) S: 2w for l2, w [|r| <= delta] for Huber, and
-    for a custom loss w f'(u) / u, the IRLS majoriser (0 at u = 0), which
-    needs no second derivative.  For f(u) = u^p it is the Newton
-    curvature w p (p - 1) u^(p-2) divided by p - 1."""
+    """(f, f', c) of a smooth loss; c(|r|) weighs its generalised Hessian
+    S^T diag(c) S.  A custom loss gets the IRLS weights w f'(u) / u (0 at
+    u = 0), which need no second derivative; for f(u) = u^p they are the
+    Newton curvature divided by p - 1."""
     if loss.kind == "l2":
         two_w = 2.0 * w
         return (lambda u: u * u), (lambda u: 2.0 * u), (lambda u: two_w)
