@@ -244,24 +244,27 @@ def test_criterion_4_dynamic_updates():
     assert removed >= 10, removed
 
     # (d) Edge-addition cost grows linearly with the affected path count.
+    # Each round times every size once, so a stretch in which the machine
+    # runs slower lands on all sizes alike; the lower quartile over the
+    # rounds then takes each size in the same state, where a per-size
+    # minimum can pick one size's rare fast call against the others' slow.
     sizes = (10, 50, 100, 200, 500, 1000)
-    times = []
+    cases = []
     for k in sizes:
         net = _star(k)
-        agg = FlowAggregationMatrix.from_network(net)
-        y = agg.aggregate(np.full(k, 2.0))
-        new_paths = [(i, k + i, 2 * k) for i in range(k)]
-        best = np.inf
-        for _ in range(3):
+        y = FlowAggregationMatrix.from_network(net).aggregate(np.full(k, 2.0))
+        cases.append((net, y, 3.0 * k, [(i, k + i, 2 * k) for i in range(k)]))
+    rounds = np.empty((11, len(sizes)))
+    for r in range(len(rounds)):
+        for j, (net, y, forecast, new_paths) in enumerate(cases):
             t0 = time.monotonic()
-            add_edge_update(net, y, ("x", "t"), 3.0 * k, new_paths)
-            best = min(best, time.monotonic() - t0)
-        times.append(best)
+            add_edge_update(net, y, ("x", "t"), forecast, new_paths)
+            rounds[r, j] = time.monotonic() - t0
+    t = np.quantile(rounds, 0.25, axis=0)
     x = np.asarray(sizes, dtype=float)
-    t = np.asarray(times)
     pred = np.polyval(np.polyfit(x, t, 1), x)
     r2 = 1.0 - np.sum((t - pred) ** 2) / np.sum((t - t.mean()) ** 2)
-    assert r2 >= 0.9, (r2, times)
+    assert r2 >= 0.9, (r2, t)
 
     print(
         f"CRITERION 4 PASS — additions match the projection oracle to 1e-8; "
