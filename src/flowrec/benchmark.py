@@ -41,6 +41,11 @@ DEFAULT_METHODS = ("base", "bu", "l2")
 
 _PATH_ATTEMPT_FACTOR = 50
 
+# Uniform range of the ground-truth path flows, and the share of nodes
+# that are sources and sinks; the rest are intermediates.
+FLOW_LOW, FLOW_HIGH = 5.0, 15.0
+SOURCE_FRAC, SINK_FRAC = 0.2, 0.2
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -57,8 +62,6 @@ class GeneratorConfig:
             truth value per instance.  The value used is always recorded.
         max_paths: cap on sampled paths (default 4 * nodes).
         max_hops: cap on path length in edges.
-        flow_low / flow_high: uniform range for ground-truth path flows.
-        source_frac / sink_frac: fraction of nodes per role.
         seed: master seed; instance i uses stream seed + i.
     """
 
@@ -68,10 +71,6 @@ class GeneratorConfig:
     sigma: float | None = None
     max_paths: int | None = None
     max_hops: int = 8
-    flow_low: float = 5.0
-    flow_high: float = 15.0
-    source_frac: float = 0.2
-    sink_frac: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -87,12 +86,6 @@ class GeneratorConfig:
             raise BadParameter("max_paths must be >= 1")
         if self.max_hops < 1:
             raise BadParameter("max_hops must be >= 1")
-        if not self.flow_low <= self.flow_high:
-            raise BadParameter("flow_low must not exceed flow_high")
-        if min(self.source_frac, self.sink_frac) <= 0 or (
-            self.source_frac + self.sink_frac >= 1.0
-        ):
-            raise BadParameter("role fractions must be positive and sum below 1")
 
 
 @dataclass
@@ -111,15 +104,10 @@ class BenchmarkInstance:
 
 
 def _role_sizes(cfg: GeneratorConfig) -> tuple[int, int, int]:
-    n_src = max(1, round(cfg.nodes * cfg.source_frac))
-    n_snk = max(1, round(cfg.nodes * cfg.sink_frac))
-    n_mid = cfg.nodes - n_src - n_snk
-    if n_mid < 1:
-        raise InfeasibleTopology(
-            f"{cfg.nodes} nodes with fractions ({cfg.source_frac}, {cfg.sink_frac}) "
-            "leave no intermediate node"
-        )
-    return n_src, n_mid, n_snk
+    # At least one intermediate remains for any nodes >= 3.
+    n_src = max(1, round(cfg.nodes * SOURCE_FRAC))
+    n_snk = max(1, round(cfg.nodes * SINK_FRAC))
+    return n_src, cfg.nodes - n_src - n_snk, n_snk
 
 
 def permitted_edge_count(cfg: GeneratorConfig) -> int:
@@ -263,7 +251,7 @@ def generate_instance(cfg: GeneratorConfig, index: int) -> BenchmarkInstance:
 
     net = Network(nodes, edges, paths, roles)
     agg = FlowAggregationMatrix.from_network(net)
-    flows = rng.uniform(cfg.flow_low, cfg.flow_high, len(paths))
+    flows = rng.uniform(FLOW_LOW, FLOW_HIGH, len(paths))
     y_true = agg.aggregate(flows)
     sigma = cfg.sigma if cfg.sigma is not None else 0.05 * float(np.mean(np.abs(y_true)))
     noise = rng.normal(0.0, sigma, y_true.shape) if sigma > 0 else np.zeros_like(y_true)
@@ -365,12 +353,7 @@ class BenchmarkReport:
     per_instance: list[dict]
     summary: list[dict]
     timings: list[dict]
-    out_dir: str | None = None
     files: dict = field(default_factory=dict)
-
-    def mean_time(self, method: str) -> float:
-        times = [r["wall_time_s"] for r in self.timings if r["method"] == method]
-        return float(np.mean(times))
 
 
 def _run_one(cfg: GeneratorConfig, index: int, methods, fns) -> tuple[list[dict], list[dict]]:
@@ -464,7 +447,6 @@ def run_benchmark(
         per_instance=per_instance,
         summary=summary,
         timings=timings,
-        out_dir=out_dir,
     )
     if out_dir is not None:
         _write_outputs(report, out_dir, workers)

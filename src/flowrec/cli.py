@@ -85,8 +85,6 @@ def _cmd_reconcile(args) -> int:
                 "--epsilon relaxes the plain l2 reconciliation and cannot be "
                 "combined with other losses, weights or box bounds"
             )
-        if args.epsilon < 0:
-            raise BadParameter(f"--epsilon must be >= 0, got {args.epsilon}")
 
     panel = np.column_stack([v.data for v in vectors])
     if args.epsilon is not None:

@@ -103,7 +103,7 @@ def add_edge_update(
     ``y_tilde`` must be coherent for ``net`` (else :class:`ValidationError`).
     The updated network and its operator are derived from ``net``'s; only
     the new paths are validated, by the constructor's rules.  The returned
-    vector keeps the horizon and origin of ``y_tilde``.
+    vector keeps the horizon of ``y_tilde``.
     """
     imap = net.index_map
     y = _as_component_vector(y_tilde, imap.n)
@@ -189,12 +189,6 @@ class UpdateLedger:
         self.forecast = np.asarray(self.forecast, dtype=float).copy()
         if self.reconciled.shape != self.forecast.shape or self.reconciled.ndim != 1:
             raise BadParameter("ledger needs two equal-length vectors")
-
-    @classmethod
-    def from_reconciliation(cls, result, base_forecast, index_map=None) -> "UpdateLedger":
-        y = np.asarray(getattr(result, "y_tilde", result).data, dtype=float)
-        base = np.asarray(getattr(base_forecast, "data", base_forecast), dtype=float)
-        return cls(reconciled=y, forecast=base, index_map=index_map)
 
     def resolve(self, component) -> int:
         if isinstance(component, tuple):
@@ -321,7 +315,7 @@ def remove_edge(net: Network, y_tilde, edge) -> tuple[RemovalPlan, Network, Fore
     paths disappear from the path list; surviving paths keep their order
     and new routes follow them.  The updated network and its operator are
     derived from ``net``'s, and the returned vector, which keeps the
-    horizon and origin of ``y_tilde``, is that operator applied to the
+    horizon of ``y_tilde``, is that operator applied to the
     updated path values.
 
     Args:

@@ -417,13 +417,3 @@ class FlowAggregationMatrix:
                 f"expected {self.index_map.n_paths} path values, got shape {b.shape}"
             )
         return self.matrix @ b
-
-    def uncovered_nodes(self) -> np.ndarray:
-        """Node indices no path passes through (their coherent value is 0)."""
-        counts = np.asarray(self.vp.sum(axis=1)).ravel()
-        return np.flatnonzero(counts == 0)
-
-    def uncovered_edges(self) -> np.ndarray:
-        """Edge indices no path uses (their coherent value is 0)."""
-        counts = np.asarray(self.ep.sum(axis=1)).ravel()
-        return np.flatnonzero(counts == 0)

@@ -26,6 +26,14 @@ differs is the objective:
   by one damped semismooth Newton kernel, with projected Newton steps on a
   box of path components.
 
+Every smooth loss reaches that kernel through one objective and Hessian
+builder, :func:`_minimize_path_loss`, given the loss's (f, f', c) triple.
+The relaxed reconciler of :mod:`flowrec.relaxed` is one more triple on
+that route: a per-edge dead zone, f(u) = (u - band)_+^2 with band epsilon
+on edges and 0 elsewhere.  Every route, the relaxed one included, builds
+its result in :func:`_package`, which scores the answer under its loss and
+checks its coherence.
+
 A root-mean-square objective shares its minimiser with the mean-square
 one, so no separate solver exists for it.
 """
@@ -181,80 +189,83 @@ def huber_slope(u: np.ndarray, delta: float) -> np.ndarray:
     return np.minimum(np.asarray(u, dtype=float), delta)
 
 
+def _score(loss: LossSpec, yhat: np.ndarray, y: np.ndarray):
+    """sum_i w_i f(|y_i - yhat_i|): a scalar for vectors, one value per
+    column for (n, H) panels."""
+    r = np.abs(y - yhat)
+    w = loss.resolved_weights(r.shape[0])
+    if loss.kind == "l2":
+        return w @ (r * r)
+    if loss.kind == "l1":
+        return w @ r
+    if loss.kind == "huber":
+        return w @ huber_value(r, loss.delta)
+    return w @ np.asarray(loss.f(r), dtype=float)
+
+
 def evaluate_loss(loss: LossSpec, yhat, y) -> float:
     """Weighted objective value sum_i w_i f(|y_i - yhat_i|)."""
     a = np.asarray(getattr(yhat, "data", yhat), dtype=float)
     b = np.asarray(getattr(y, "data", y), dtype=float)
     if a.shape != b.shape:
         raise DimensionMismatch(f"vector shapes differ: {a.shape} vs {b.shape}")
-    r = np.abs(b - a)
-    w = loss.resolved_weights(a.shape[0])
-    if loss.kind == "l2":
-        return float(w @ (r * r))
-    if loss.kind == "l1":
-        return float(w @ r)
-    if loss.kind == "huber":
-        return float(w @ huber_value(r, loss.delta))
-    return float(w @ np.asarray(loss.f(r), dtype=float))
+    return float(_score(loss, a, b))
 
 
 def _package(
-    yhat: np.ndarray,
-    b: np.ndarray,
-    agg: FlowAggregationMatrix,
-    loss: LossSpec,
-    stats: SolverStats,
-    like=None,
-) -> ReconciliationResult:
-    y = agg.matrix @ b
-    return ReconciliationResult(
-        y_tilde=_vector_like(y, like),
-        b_tilde=b,
-        loss_value=evaluate_loss(loss, yhat, y),
-        coherence=check_coherence(y, agg),
-        stats=stats,
-    )
+    yhat, y: np.ndarray, lifted: np.ndarray, b: np.ndarray, agg: FlowAggregationMatrix,
+    loss: LossSpec, stats,
+):
+    """The one place a result is built: score the lifted stack against the
+    base forecasts ``y`` under ``loss`` and check its coherence.
+
+    ``lifted`` is S b for every exact route; the relaxed route passes its
+    stack with the edges clamped into their bands.  An (n,) vector gives
+    one result, with the horizon of ``yhat``.  An (n, H) panel, with H
+    columns of path values and a list of H stats, gives a list of H
+    results in column order, the k-th with horizon k + 1; its losses come
+    from one vectorised pass and its reports from one check.
+    """
+    losses = _score(loss, y, lifted)
+    reports = check_coherence(lifted, agg)
+    if lifted.ndim == 1:
+        return ReconciliationResult(_vector_like(lifted, yhat), b, float(losses), reports, stats)
+    return [
+        ReconciliationResult(
+            ForecastVector(col, horizon=k + 1), b[:, k], float(losses[k]), reports[k], stats[k]
+        )
+        for k, col in enumerate(lifted.T)
+    ]
 
 
-def _l2_result(
-    yhat, y: np.ndarray, agg: FlowAggregationMatrix, loss: LossSpec, method: str,
-    tol: float, t0: float,
-) -> ReconciliationResult | list[ReconciliationResult]:
-    """Solve the weighted normal equations S^T W S b = S^T W y and package b.
+def _l2_solve(
+    y: np.ndarray, agg: FlowAggregationMatrix, loss: LossSpec, method: str, tol: float, t0: float
+):
+    """Solve the weighted normal equations S^T W S b = S^T W y.
 
     CG applies S^T W S as v -> S^T (w * (S v)), or S^T (S v) without
     weights, so the Gram matrix, several times denser than S, is never
-    formed.  A vector y gives one result, packaged as every reconciler's.
-    An (n, H) block y is packaged as one panel: one block CG solves it, one
-    product S B lifts it, one vectorised pass gives its H loss values and
-    one check its coherence reports.  It gives a list of H results in
-    column order; each carries the block's step count, its column's
-    gradient-norm certificate (twice its explicit CG residual) and an equal
-    share of the block's wall time.
+    formed.  A vector y gives b and its stats; an (n, H) block y, solved by
+    one block CG, gives B and one stats per column, each with the block's
+    step count, its column's gradient-norm certificate (twice its explicit
+    CG residual) and an equal share of the block's wall time.
     """
     s, st = agg.matrix, agg.matrix_t
-    w = loss.resolved_weights(agg.n)
     if loss.weights is None:
         rhs, matvec = st @ y, lambda v: st @ (s @ v)
     else:
+        w = loss.resolved_weights(agg.n)
         wy = w if y.ndim == 1 else w[:, None]
         rhs, matvec = st @ (wy * y), lambda v: st @ (wy * (s @ v))
     b, info = solve_spd_with_info(matvec, rhs, tol=tol)
     wall = time.perf_counter() - t0
     if y.ndim == 1:
-        stats = SolverStats(method, info.iterations, wall, gradient_norm=2.0 * info.residual_norm)
-        return _package(y, b, agg, loss, stats, like=yhat)
-    lifted = s @ b
-    adjustment = lifted - y
-    losses = w @ (adjustment * adjustment)
-    reports = check_coherence(lifted, agg)
+        return b, SolverStats(method, info.iterations, wall, gradient_norm=2.0 * info.residual_norm)
     share = wall / y.shape[1]
-    results = []
-    for k, col in enumerate(info.columns):
-        stats = SolverStats(method, col.iterations, share, gradient_norm=2.0 * col.residual_norm)
-        y_tilde = ForecastVector(lifted[:, k], horizon=k + 1)
-        results.append(ReconciliationResult(y_tilde, b[:, k], float(losses[k]), reports[k], stats))
-    return results
+    return b, [
+        SolverStats(method, col.iterations, share, gradient_norm=2.0 * col.residual_norm)
+        for col in info.columns
+    ]
 
 
 def reconcile_l2(yhat, agg: FlowAggregationMatrix, tol: float = 1e-12) -> ReconciliationResult:
@@ -272,7 +283,9 @@ def reconcile_l2(yhat, agg: FlowAggregationMatrix, tol: float = 1e-12) -> Reconc
     """
     t0 = time.perf_counter()
     y = _as_component_vector(yhat, agg.n)
-    return _l2_result(yhat, y, agg, LossSpec("l2"), "l2", tol, t0)
+    loss = LossSpec("l2")
+    b, stats = _l2_solve(y, agg, loss, "l2", tol, t0)
+    return _package(yhat, y, agg.matrix @ b, b, agg, loss, stats)
 
 
 def coherence_constraints(agg: FlowAggregationMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -398,7 +411,7 @@ def reconcile_l1(
         wall_time_s=wall,
         duality_gap=sol.duality_gap,
     )
-    return _package(y, b, agg, loss, stats, like=yhat)
+    return _package(yhat, y, agg.matrix @ b, b, agg, loss, stats)
 
 
 def _smooth_parts(loss: LossSpec, w: np.ndarray):
@@ -418,6 +431,31 @@ def _smooth_parts(loss: LossSpec, w: np.ndarray):
         return w * np.divide(slope, u, out=np.zeros_like(u), where=u > 0.0)
 
     return loss.f, loss.f_prime, curvature
+
+
+def _minimize_path_loss(y, agg: FlowAggregationMatrix, w, parts, b0, bounds, tol, max_iter):
+    """Minimise sum_i w_i f(|(S b - y)_i|) over path values b on the one
+    Newton kernel, :func:`minimize_smooth_convex`.
+
+    ``parts`` is the (f, f', c) triple of the loss: the gradient is
+    S^T (w f'(|r|) sign(r)) and the generalised Hessian S^T diag(c(|r|)) S,
+    applied through S and the network's cached S^T and never formed.
+    """
+    f, f_prime, curvature = parts
+    s, st = agg.matrix, agg.matrix_t
+
+    def objective(b: np.ndarray) -> tuple[float, np.ndarray]:
+        r = s @ b - y
+        mag = np.abs(r)
+        value = float(w @ np.asarray(f(mag), dtype=float))
+        grad = st @ (w * np.asarray(f_prime(mag), dtype=float) * np.sign(r))
+        return value, grad
+
+    def hessian(b: np.ndarray):
+        c = curvature(np.abs(s @ b - y))
+        return lambda v: st @ (c * (s @ v))
+
+    return minimize_smooth_convex(objective, hessian, b0, tol=tol, max_iter=max_iter, bounds=bounds)
 
 
 def reconcile_general(
@@ -495,31 +533,15 @@ def reconcile_general(
         bounds = (box.lower[imap.path_slice], box.upper[imap.path_slice])
 
     if loss.kind == "l2" and box is None:
-        return _l2_result(yhat, y, agg, loss, "general:l2", min(tol, 1e-10), t0)
-
-    f, f_prime, curvature = _smooth_parts(loss, w)
-    s, st = agg.matrix, agg.matrix_t
-
-    def objective(b: np.ndarray) -> tuple[float, np.ndarray]:
-        r = s @ b - y
-        mag = np.abs(r)
-        value = float(w @ np.asarray(f(mag), dtype=float))
-        grad = st @ (w * np.asarray(f_prime(mag), dtype=float) * np.sign(r))
-        return value, grad
-
-    def hessian(b: np.ndarray):
-        c = curvature(np.abs(s @ b - y))
-        return lambda v: st @ (c * (s @ v))
+        b, stats = _l2_solve(y, agg, loss, "general:l2", min(tol, 1e-10), t0)
+        return _package(yhat, y, agg.matrix @ b, b, agg, loss, stats)
 
     b0 = np.asarray(start, dtype=float) if start is not None else y[agg.index_map.path_slice].copy()
     if b0.shape != (agg.n_paths,):
         raise DimensionMismatch(f"start must hold {agg.n_paths} path values")
-    res = minimize_smooth_convex(objective, hessian, b0, tol=tol, max_iter=max_iter, bounds=bounds)
+    res = _minimize_path_loss(y, agg, w, _smooth_parts(loss, w), b0, bounds, tol, max_iter)
     wall = time.perf_counter() - t0
     stats = SolverStats(
-        method=f"general:{loss.kind}",
-        iterations=res.iterations,
-        wall_time_s=wall,
-        gradient_norm=res.gradient_norm,
+        f"general:{loss.kind}", res.iterations, wall, gradient_norm=res.gradient_norm
     )
-    return _package(y, res.x, agg, loss, stats, like=yhat)
+    return _package(yhat, y, agg.matrix @ res.x, res.x, agg, loss, stats)

@@ -9,14 +9,14 @@ least-squares reconciliation.
 
 The solver optimises over path values only.  For a fixed path vector the
 best admissible edge value has a closed form (clamp the base forecast into
-the band), which turns the problem into an unconstrained, continuously
-differentiable, strongly convex and piecewise-quadratic minimisation.
-Damped semismooth Newton steps solve it; the generalised Hessian is the
-normal-equation operator of the edges outside their band,
-2 S^T D S with D = diag([1; a; 1]) and a marking those edges, applied
-through S and the network's cached S^T without being formed (two sparse
-products per CG step), so a few steps end it once that band pattern
-settles.
+the band), which leaves the squared distance of each residual to an
+interval: a per-edge dead zone f(u) = (u - band)_+^2 with band = epsilon
+on edges and 0 on nodes and paths.  That loss is continuously
+differentiable, strongly convex and piecewise quadratic in the path
+values, so it runs on the smooth route every reconciler shares: the one
+damped semismooth Newton kernel, with curvature 2 on every node and path
+residual and on the edges outside their band, 0 on those inside.  A few
+steps end it once that band pattern settles.
 
 The answer is the :class:`ReconciliationResult` every reconciler returns;
 its coherence report's edge residuals are the band violations.
@@ -30,9 +30,8 @@ import numpy as np
 
 from .errors import BadParameter
 from .network import FlowAggregationMatrix
-from .numerics import minimize_smooth_convex
-from .reconcile import ReconciliationResult, SolverStats
-from .series import _as_component_vector, _vector_like, check_coherence
+from .reconcile import LossSpec, ReconciliationResult, SolverStats, _minimize_path_loss, _package
+from .series import _as_component_vector
 
 
 def reconcile_relaxed(
@@ -66,51 +65,45 @@ def reconcile_relaxed(
         raise BadParameter(f"epsilon must be finite and >= 0, got {epsilon!r}")
     imap = agg.index_map
     y = _as_component_vector(yhat, imap.n)
-    y_edges = y[imap.edge_slice]
-    y_paths = y[imap.path_slice]
-    s, st = agg.matrix, agg.matrix_t
     edges = imap.edge_slice
+    band = np.zeros(imap.n)
+    band[edges] = epsilon
 
-    def objective(p: np.ndarray) -> tuple[float, np.ndarray]:
-        # r = [r_nodes; r_edges shrunk by the band; r_paths], so grad = 2 S^T r.
-        r = s @ p - y
-        r_edges = r[edges]
-        r[edges] = np.sign(r_edges) * np.maximum(np.abs(r_edges) - epsilon, 0.0)
-        return float(r @ r), 2.0 * (st @ r)
+    def excess(u: np.ndarray) -> np.ndarray:
+        return np.maximum(u - band, 0.0)
 
-    # Edges outside their band add a quadratic term; those inside add none.
-    patterns: list[np.ndarray] = []
+    # Curvature 2 everywhere except on the edges inside their band; u > band
+    # alone would also zero a node or path residual of exactly 0.  Count
+    # each change of that band pattern.
+    rounds, pattern = 0, None
 
-    def hessian(p: np.ndarray):
-        active = np.abs(agg.ep @ p - y_edges) > epsilon
-        if not patterns or not np.array_equal(active, patterns[-1]):
-            patterns.append(active)
-        d = np.ones(imap.n)
-        d[edges] = active
-        return lambda v: 2.0 * (st @ (d * (s @ v)))
+    def curvature(u: np.ndarray) -> np.ndarray:
+        nonlocal rounds, pattern
+        active = u[edges] > epsilon
+        if pattern is None or not np.array_equal(active, pattern):
+            rounds, pattern = rounds + 1, active
+        c = np.full(imap.n, 2.0)
+        c[edges] = 2.0 * active
+        return c
 
-    res = minimize_smooth_convex(objective, hessian, y_paths, tol=tol, max_iter=max_iter)
+    parts = (lambda u: excess(u) ** 2), (lambda u: 2.0 * excess(u)), curvature
+    b0 = y[imap.path_slice]
+    res = _minimize_path_loss(y, agg, np.ones(imap.n), parts, b0, None, tol, max_iter)
     p = res.x
 
     edge_sums = agg.ep @ p
-    e_vals = np.clip(y_edges, edge_sums - epsilon, edge_sums + epsilon)
+    e_vals = np.clip(y[edges], edge_sums - epsilon, edge_sums + epsilon)
     out = np.concatenate([agg.vp @ p, e_vals, p])
-    coherence = check_coherence(out, agg)
     stats = SolverStats(
         method=f"relaxed:{epsilon}",
         iterations=res.iterations,
         wall_time_s=time.perf_counter() - t0,
         gradient_norm=res.gradient_norm,
-        max_violation=coherence.max_edge_residual,
-        refine_rounds=len(patterns),
+        refine_rounds=rounds,
     )
-    return ReconciliationResult(
-        y_tilde=_vector_like(out, yhat),
-        b_tilde=p,
-        loss_value=float(np.sum((out - y) ** 2)),
-        coherence=coherence,
-        stats=stats,
-    )
+    result = _package(yhat, y, out, p, agg, LossSpec("l2"), stats)
+    stats.max_violation = result.coherence.max_edge_residual
+    return result
 
 
 __all__ = ["reconcile_relaxed"]

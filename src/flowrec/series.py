@@ -25,11 +25,9 @@ def _as_component_vector(values, n: int) -> np.ndarray:
 
 
 def _vector_like(data, like) -> "ForecastVector":
-    """``data`` as a ForecastVector with the horizon and origin of ``like``
-    (1 and None when ``like`` is a bare array)."""
-    return ForecastVector(
-        data, horizon=getattr(like, "horizon", 1), origin=getattr(like, "origin", None)
-    )
+    """``data`` as a ForecastVector with the horizon of ``like`` (1 when
+    ``like`` is a bare array)."""
+    return ForecastVector(data, horizon=getattr(like, "horizon", 1))
 
 
 @dataclass
@@ -38,14 +36,12 @@ class ForecastVector:
 
     Args:
         data: length-n float array in canonical [nodes; edges; paths] order.
-        horizon: steps ahead this vector refers to (1 = next step).
-        origin: the caller's label for where the forecast came from, or
-            None; reconcilers and edge edits carry it through unchanged.
+        horizon: steps ahead this vector refers to (1 = next step);
+            reconcilers and edge edits carry it through unchanged.
     """
 
     data: np.ndarray
     horizon: int = 1
-    origin: int | None = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)

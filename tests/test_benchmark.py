@@ -10,7 +10,6 @@ from flowrec import (
     FlowAggregationMatrix,
     Network,
     GeneratorConfig,
-    InfeasibleTopology,
     check_coherence,
     density_for_edge_target,
     generate_instance,
@@ -19,7 +18,14 @@ from flowrec import (
     run_benchmark,
     thread_count,
 )
-from flowrec.benchmark import _pair_ranks, _pairs_of_ranks
+from flowrec.benchmark import (
+    FLOW_HIGH,
+    FLOW_LOW,
+    SINK_FRAC,
+    SOURCE_FRAC,
+    _pair_ranks,
+    _pairs_of_ranks,
+)
 
 
 def _listed_candidates_instance(cfg, index):
@@ -27,8 +33,8 @@ def _listed_candidates_instance(cfg, index):
     paths, truth, base forecast and sigma of instance ``index``, drawn from
     the same stream, for comparison with the arithmetic decoding."""
     rng = np.random.default_rng(cfg.seed + index)
-    n_src = max(1, round(cfg.nodes * cfg.source_frac))
-    n_snk = max(1, round(cfg.nodes * cfg.sink_frac))
+    n_src = max(1, round(cfg.nodes * SOURCE_FRAC))
+    n_snk = max(1, round(cfg.nodes * SINK_FRAC))
     n_mid = cfg.nodes - n_src - n_snk
     sources = [f"s{i}" for i in range(n_src)]
     mids = [f"m{i}" for i in range(n_mid)]
@@ -85,7 +91,7 @@ def _listed_candidates_instance(cfg, index):
                     paths.append(tuple(walk))
                 break
     net = Network(sources + mids + sinks, edges, paths)
-    flows = rng.uniform(cfg.flow_low, cfg.flow_high, len(paths))
+    flows = rng.uniform(FLOW_LOW, FLOW_HIGH, len(paths))
     y_true = FlowAggregationMatrix.from_network(net).aggregate(flows)
     sigma = cfg.sigma if cfg.sigma is not None else 0.05 * float(np.mean(np.abs(y_true)))
     noise = rng.normal(0.0, sigma, y_true.shape) if sigma > 0 else np.zeros_like(y_true)
@@ -104,15 +110,6 @@ class TestGeneratorConfig:
             GeneratorConfig(sigma=-0.1)
         with pytest.raises(BadParameter):
             GeneratorConfig(max_hops=0)
-        with pytest.raises(BadParameter):
-            GeneratorConfig(flow_low=9.0, flow_high=5.0)
-        with pytest.raises(BadParameter):
-            GeneratorConfig(source_frac=0.6, sink_frac=0.6)
-
-    def test_no_intermediate_nodes_is_infeasible(self):
-        cfg = GeneratorConfig(nodes=4, source_frac=0.49, sink_frac=0.49)
-        with pytest.raises(InfeasibleTopology):
-            generate_instance(cfg, 0)
 
 
 class TestGenerateInstance:
@@ -196,22 +193,13 @@ class TestGenerateInstance:
         inst = generate_instance(cfg, 0)
         assert 1 <= len(inst.network.paths) <= 5
 
-    @pytest.mark.parametrize("fractions", [(0.2, 0.2), (0.1, 0.3), (0.4, 0.15)])
-    def test_decoded_candidates_match_the_listed_ones(self, fractions):
+    def test_decoded_candidates_match_the_listed_ones(self):
         # Decoding the k-th candidate by arithmetic must draw the same pairs
         # as indexing the full list did, so every seed gives the same instance.
         for nodes in (3, 4, 7, 12, 25, 60):
             for density in (0.0, 0.2, 1.0, None):
-                cfg = GeneratorConfig(
-                    nodes=nodes, instances=1, density=density, seed=31 * nodes,
-                    source_frac=fractions[0], sink_frac=fractions[1],
-                )
-                try:
-                    edges, paths, y_true, y_base, sigma = _listed_candidates_instance(cfg, 2)
-                except InfeasibleTopology:
-                    with pytest.raises(InfeasibleTopology):
-                        generate_instance(cfg, 2)
-                    continue
+                cfg = GeneratorConfig(nodes=nodes, instances=1, density=density, seed=31 * nodes)
+                edges, paths, y_true, y_base, sigma = _listed_candidates_instance(cfg, 2)
                 inst = generate_instance(cfg, 2)
                 assert list(inst.network.edges) == edges
                 assert list(inst.network.paths) == paths
@@ -307,7 +295,7 @@ class TestRunBenchmark:
         assert len(report.per_instance) == cfg.instances * 2
         assert len(report.summary) == 2
         assert len(report.timings) == cfg.instances * 2
-        assert report.mean_time("l2") > 0.0
+        assert all(r["wall_time_s"] > 0.0 for r in report.timings if r["method"] == "l2")
 
     def test_reconciled_rows_are_coherent_and_base_rows_are_not(self):
         cfg = GeneratorConfig(**SMALL)
@@ -365,8 +353,7 @@ class TestRunBenchmark:
         run_benchmark(cfg, methods=("base", "l2"), out_dir=str(tmp_path))
         expected = {
             "nodes": 10, "instances": 5, "density": None, "sigma": None,
-            "max_paths": None, "max_hops": 8, "flow_low": 5.0, "flow_high": 15.0,
-            "source_frac": 0.2, "sink_frac": 0.2, "seed": 21,
+            "max_paths": None, "max_hops": 8, "seed": 21,
             "methods": ["base", "l2"], "threads": thread_count(),
         }
         text = json.dumps(expected, indent=2, sort_keys=True) + "\n"

@@ -153,9 +153,9 @@ class TestAddEdge:
             Network(["s", "a"], [("s", "a"), ("a", "s")], [(0,), (0, 1)])
 
     def test_keeps_horizon_and_origin(self, fan_net, fan_vector):
-        prior = ForecastVector(fan_vector, horizon=3, origin=41)
+        prior = ForecastVector(fan_vector, horizon=3)
         result = add_edge_update(fan_net, prior, ("x", "t"), 9.0, FAN_NEW_PATHS)
-        assert (result.y_tilde.horizon, result.y_tilde.origin) == (3, 41)
+        assert result.y_tilde.horizon == 3
 
     def test_output_is_the_lift_of_its_path_values(self, fan_net, fan_vector):
         # Coherent only within the default tolerance: node s is 1e-9 off.
@@ -232,7 +232,7 @@ class TestDataUpdates:
         y = np.full(6, 4.0)
         y[1] = 10.0
         result = reconcile_l2(y, chain_agg)
-        ledger = UpdateLedger.from_reconciliation(result, y, index_map=chain_agg.index_map)
+        ledger = UpdateLedger(result.y_tilde.data, y, index_map=chain_agg.index_map)
         delta = 1e-5
         y_new = y.copy()
         y_new[1] -= delta  # toward the reconciled value 5
@@ -359,9 +359,9 @@ class TestRemoveEdge:
         )
 
     def test_keeps_horizon_and_origin(self, parallel_net, parallel_agg):
-        prior = ForecastVector(parallel_agg.aggregate(np.array([3.0, 5.0])), horizon=3, origin=7)
+        prior = ForecastVector(parallel_agg.aggregate(np.array([3.0, 5.0])), horizon=3)
         _, _, y_new = remove_edge(parallel_net, prior, ("a", "t"))
-        assert (y_new.horizon, y_new.origin) == (3, 7)
+        assert y_new.horizon == 3
 
     def test_disconnection_raises(self, chain_net, chain_agg):
         y = chain_agg.aggregate(np.array([4.0]))

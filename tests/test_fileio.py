@@ -394,9 +394,8 @@ class TestDiagnostics:
         assert out["c"] == 1 and not isinstance(out["c"], bool)
 
     def test_forecast_vector_metadata_survives_reconstruction(self):
-        v = ForecastVector(np.array([1.0, 2.0]), horizon=3, origin="2024-01-05")
+        v = ForecastVector(np.array([1.0, 2.0]), horizon=3)
         assert v.horizon == 3
-        assert v.origin == "2024-01-05"
 
 
 class TestOutputFiles:

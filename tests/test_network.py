@@ -150,12 +150,6 @@ class TestAggregationMatrix:
         with pytest.raises(DimensionMismatch):
             chain_agg.aggregate(np.ones(3))
 
-    def test_uncovered_elements_flagged(self, distribution_net):
-        agg = FlowAggregationMatrix.from_network(distribution_net)
-        uncovered = [distribution_net.nodes[i] for i in agg.uncovered_nodes()]
-        assert uncovered == ["T", "RA", "RB"]
-        assert agg.uncovered_edges().size == 0
-
 
 class TestPathsThrough:
     def test_chain_edge(self, chain_net):

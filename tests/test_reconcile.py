@@ -641,3 +641,43 @@ class TestMatrixFree:
         assert huber.stats.gradient_norm <= 1e-8 * (1.0 + huber.loss_value)
         relaxed = reconcile_relaxed(y, inst.agg, 0.01)
         assert relaxed.stats.gradient_norm <= 1e-10 * (1.0 + relaxed.loss_value)
+
+
+# ---------------------------------------------------------------------------
+# One packager: every route scores and checks its answer the same way.
+# ---------------------------------------------------------------------------
+
+
+class TestPackagedResults:
+    def test_every_route_reports_its_own_loss_and_coherence(self):
+        inst = random_instance(nodes=12, seed=71)
+        agg, y = inst.agg, inst.y_base.data
+        n = agg.n
+        l2 = LossSpec("l2")
+        weighted = LossSpec("l2", weights=np.linspace(0.5, 2.0, n))
+        huber = LossSpec("huber", delta=1.0)
+        quartic = LossSpec("custom", f=lambda u: u**4, f_prime=lambda u: 4.0 * u**3)
+        box = BoxConstraints(inst.y_true.data - 1.0, inst.y_true.data + 1.0)
+        panel = np.column_stack([y, 1.1 * y, y[::-1]])
+        cases = [
+            (l2, y, reconcile_l2(y, agg)),
+            (weighted, y, reconcile_general(y, agg, weighted)),
+            (LossSpec("l1"), y, reconcile_l1(y, agg, box=box)),
+            (huber, y, reconcile_general(y, agg, huber)),
+            (quartic, y, reconcile_general(y, agg, quartic)),
+            (l2, y, reconcile_relaxed(y, agg, 0.05)),
+        ]
+        cases += [
+            (l2, panel[:, k], res) for k, res in enumerate(reconcile_general(panel, agg, l2))
+        ]
+        for loss, yhat, res in cases:
+            method = res.stats.method
+            expected = evaluate_loss(loss, yhat, res.y_tilde)
+            assert res.loss_value == pytest.approx(expected, rel=1e-12, abs=0.0), method
+            report = check_coherence(res.y_tilde, agg)
+            assert res.coherence.coherent == report.coherent, method
+            assert res.coherence.tolerance == report.tolerance, method
+            assert res.coherence.max_node_residual == report.max_node_residual, method
+            assert res.coherence.max_edge_residual == report.max_edge_residual, method
+            assert np.array_equal(res.coherence.node_residuals, report.node_residuals), method
+            assert np.array_equal(res.coherence.edge_residuals, report.edge_residuals), method

