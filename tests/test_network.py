@@ -8,7 +8,6 @@ from flowrec import (
     DanglingEdge,
     DimensionMismatch,
     DuplicateId,
-    FlowAggregationMatrix,
     IndexMap,
     Network,
     UnknownIndex,
