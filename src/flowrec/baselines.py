@@ -4,8 +4,10 @@ Bottom-up is the classical baseline: trust the path forecasts, overwrite
 everything above them by aggregation.  The ordinary-least-squares
 projector is algebraically the same answer as the sparse least-squares
 reconciler and is kept as a separately-named entry point because
-benchmark tables traditionally list it as its own method, optionally with
-a nonnegativity clamp.
+benchmark tables traditionally list it as its own method, optionally
+constrained to nonnegative values: the exact nonnegative least-squares
+reconciliation (Wickramasuriya, Turlach & Hyndman, Statistics and
+Computing 30, 2020), the path box b >= 0 on the one dispatch.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .network import FlowAggregationMatrix, IndexMap
-from .reconcile import reconcile_l2
+from .reconcile import BoxConstraints, LossSpec, reconcile_general
 from .series import ForecastVector, _as_component_vector
 
 
@@ -38,15 +40,13 @@ def reconcile_mint_ols(
 
     With identity weighting the trace-minimising projector reduces to
     ordinary least squares over path values, so this shares its answer
-    with the sparse least-squares reconciler.  ``nonneg`` clamps negative
-    entries to zero afterwards, which callers should re-check for
-    coherence: clamping can step off the coherent subspace.
+    with the sparse least-squares reconciler.  ``nonneg`` minimises the
+    same squared adjustment over nonnegative path values, b >= 0; S is 0/1,
+    so every component of the answer is then nonnegative, and the answer
+    stays coherent.
     """
-    result = reconcile_l2(yhat, agg)
-    data = result.y_tilde.data
-    if nonneg:
-        data = np.maximum(data, 0.0)
-    return ForecastVector(data)
+    box = BoxConstraints.nonnegative_paths(agg) if nonneg else None
+    return reconcile_general(yhat, agg, LossSpec("l2"), box=box).y_tilde
 
 
 @dataclass

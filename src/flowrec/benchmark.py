@@ -22,19 +22,17 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .baselines import evaluate, reconcile_bottom_up, reconcile_mint_ols
+from .baselines import evaluate, reconcile_bottom_up
 from .errors import BadParameter, InfeasibleTopology, IoFailure
 from .fileio import open_output, write_json
 from .network import FlowAggregationMatrix, Network
 from .reconcile import (
+    BoxConstraints,
     LossSpec,
     coherence_constraints,
     reconcile_general,
-    reconcile_l1,
-    reconcile_l2,
     reconcile_weighted,
 )
-from .relaxed import reconcile_relaxed
 from .series import ForecastVector, check_coherence
 
 DEFAULT_METHODS = ("base", "bu", "l2")
@@ -284,20 +282,15 @@ def method_callable(name: str):
     """Map a method name to a function instance -> reconciled vector.
 
     Known names: base, bu, l2, l1, mint, mint_nonneg, l2_dense,
-    huber:<delta>, relaxed:<epsilon>.
+    huber:<delta>, relaxed:<epsilon>.  Besides the base forecasts,
+    bottom-up and the dense closed form (``l2_dense``), each is one
+    :func:`reconcile_general` call under its loss: ``mint`` is l2, and
+    ``mint_nonneg`` l2 over nonnegative path values.
     """
     if name == "base":
         return lambda inst: inst.y_base.data.copy()
     if name == "bu":
         return lambda inst: reconcile_bottom_up(inst.y_base, inst.agg).data
-    if name == "l2":
-        return lambda inst: reconcile_l2(inst.y_base, inst.agg).y_tilde.data
-    if name == "l1":
-        return lambda inst: reconcile_l1(inst.y_base, inst.agg).y_tilde.data
-    if name == "mint":
-        return lambda inst: reconcile_mint_ols(inst.y_base, inst.agg).data
-    if name == "mint_nonneg":
-        return lambda inst: reconcile_mint_ols(inst.y_base, inst.agg, nonneg=True).data
     if name == "l2_dense":
 
         def dense_arm(inst: BenchmarkInstance) -> np.ndarray:
@@ -305,14 +298,23 @@ def method_callable(name: str):
             return reconcile_weighted(inst.y_base.data, a, c, np.eye(inst.agg.n))
 
         return dense_arm
-    if name.startswith("huber:"):
-        delta = _parse_parameter(name, "huber:")
-        loss = LossSpec("huber", delta=delta)
-        return lambda inst: reconcile_general(inst.y_base, inst.agg, loss).y_tilde.data
-    if name.startswith("relaxed:"):
-        eps = _parse_parameter(name, "relaxed:")
-        return lambda inst: reconcile_relaxed(inst.y_base, inst.agg, eps).y_tilde.data
-    raise BadParameter(f"unknown method {name!r}")
+    if name in ("l2", "mint", "mint_nonneg"):
+        loss = LossSpec("l2")
+    elif name == "l1":
+        loss = LossSpec("l1")
+    elif name.startswith("huber:"):
+        loss = LossSpec("huber", delta=_parse_parameter(name, "huber:"))
+    elif name.startswith("relaxed:"):
+        loss = LossSpec("relaxed", epsilon=_parse_parameter(name, "relaxed:"))
+    else:
+        raise BadParameter(f"unknown method {name!r}")
+    nonneg = name == "mint_nonneg"
+
+    def reconciler_arm(inst: BenchmarkInstance) -> np.ndarray:
+        box = BoxConstraints.nonnegative_paths(inst.agg) if nonneg else None
+        return reconcile_general(inst.y_base, inst.agg, loss, box=box).y_tilde.data
+
+    return reconciler_arm
 
 
 def thread_count() -> int:

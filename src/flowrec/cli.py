@@ -25,8 +25,7 @@ from .benchmark import DEFAULT_METHODS, GeneratorConfig, run_benchmark
 from .dynamic import UpdateLedger, add_edge_update, check_data_update, remove_edge
 from .errors import BadParameter, Disconnected, FlowRecError, SolverError, ValidationError
 from .network import FlowAggregationMatrix
-from .reconcile import LossSpec, reconcile_general, reconcile_l1
-from .relaxed import reconcile_relaxed
+from .reconcile import LossSpec, reconcile_general
 from .series import check_coherence
 
 EXIT_OK = 0
@@ -35,7 +34,16 @@ EXIT_SOLVER = 3
 EXIT_DISCONNECTED = 4
 
 
-def _parse_loss(text: str, weights) -> LossSpec:
+def _parse_loss(text: str, weights, epsilon: float | None) -> LossSpec:
+    """The loss that ``--loss``, ``--weights`` and ``--epsilon`` select;
+    ``--epsilon`` turns l2 into the relaxed loss."""
+    if epsilon is not None:
+        if text != "l2":
+            raise BadParameter(
+                "--epsilon relaxes the l2 reconciliation and cannot be combined "
+                f"with --loss {text}"
+            )
+        return LossSpec("relaxed", weights=weights, epsilon=epsilon)
     if text == "l2":
         return LossSpec("l2", weights=weights)
     if text == "l1":
@@ -78,26 +86,14 @@ def _cmd_reconcile(args) -> int:
     vectors = fileio.read_forecast(args.forecast, net)
     weights = fileio.read_weights(args.weights, net) if args.weights else None
     box = fileio.read_box(args.box, net) if args.box else None
-    loss = _parse_loss(args.loss, weights)
-    if args.epsilon is not None:
-        if loss.kind != "l2" or weights is not None or box is not None:
-            raise BadParameter(
-                "--epsilon relaxes the plain l2 reconciliation and cannot be "
-                "combined with other losses, weights or box bounds"
-            )
+    loss = _parse_loss(args.loss, weights, args.epsilon)
 
+    # Every horizon in one call.  Under l2 without a box that is one block
+    # CG over the (n, H) panel, so with two or more horizons a horizon is
+    # not bitwise its one-horizon answer; every other loss solves the
+    # columns one at a time.
     panel = np.column_stack([v.data for v in vectors])
-    if args.epsilon is not None:
-        solved = [reconcile_relaxed(vec, agg, args.epsilon) for vec in vectors]
-    elif loss.kind == "l1":
-        solved = [reconcile_l1(vec, agg, box=box, weights=weights) for vec in vectors]
-    elif loss.kind == "l2" and box is None:
-        # Every horizon at once: one block CG over the (n, H) panel, one lift
-        # and one coherence check.  Each horizon meets its own certificate;
-        # with two or more, a horizon is not bitwise its one-horizon answer.
-        solved = reconcile_general(panel, agg, loss)
-    else:
-        solved = [reconcile_general(vec, agg, loss, box=box) for vec in vectors]
+    solved = reconcile_general(panel, agg, loss, box=box)
 
     pre = check_coherence(panel, agg)  # the input panel's coherence, in one check
     horizon_diags = [_horizon_diagnostics(*entry) for entry in zip(vectors, solved, pre)]
@@ -218,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--epsilon",
         type=float,
         default=None,
-        help="per-edge violation budget; switches to the relaxed l2 solver",
+        help="per-edge violation budget; selects the relaxed loss, l2 with every "
+        "edge free to sit up to epsilon off its path sum",
     )
     rec.add_argument("--weights", default=None, help="per-component weights CSV")
     rec.add_argument(

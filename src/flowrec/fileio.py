@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import stat
 from contextlib import contextmanager, suppress
 from typing import NoReturn
@@ -176,9 +177,12 @@ def _id_table(net: Network) -> dict[tuple[str, str], int]:
 # --- forecast CSV -------------------------------------------------------------------
 
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
 def _csv_field(text: str) -> str:
     """Quote one field the way ``csv.writer`` does by default (QUOTE_MINIMAL)."""
-    if any(c in text for c in ',"\r\n'):
+    if _NEEDS_QUOTES.search(text):
         return '"' + text.replace('"', '""') + '"'
     return text
 

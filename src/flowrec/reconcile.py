@@ -1,39 +1,23 @@
-"""Exact reconciliation of component forecasts onto the coherent subspace.
+"""Reconciliation of component forecasts onto the coherent subspace.
 
-Every solver here returns a vector of the form ``S b`` for some vector of
-path values ``b``, which makes the output coherent by construction.  What
-differs is the objective:
+Every answer is ``S b`` for some vector of path values ``b``, which makes
+it coherent by construction; only the relaxed loss then lets its edge
+values sit in a band.  :func:`reconcile_general` is the one dispatch: it
+takes an (n,) vector or an (n, H) panel of forecasts and picks the solver
+for the loss.
 
-* :func:`reconcile_l2` minimises the sum of squared adjustments via the
-  normal equations over path values, solved by conjugate gradient that
-  applies S^T S as two products, with S and the network's cached S^T, and
-  never forms it.
-  The ``general:l2`` route of :func:`reconcile_general` also takes an
-  (n, H) block of forecasts: one block CG over a shared Krylov space
-  solves all H columns, one product lifts them and one check measures
-  their coherence.  It returns one result per column, with the block's
-  step count, that column's gradient-norm certificate (twice its explicit
-  CG residual, as for a vector) and an equal share of the block's wall
-  time.  Each column meets its own certificate but is no longer bitwise
-  equal to a one-column solve.
-* :func:`reconcile_weighted` is the closed-form solution of the generic
-  weighted projection under explicit linear constraints, computed densely.
-* :func:`reconcile_l1` minimises the (weighted) sum of absolute
-  adjustments as a linear program with one equality row per component,
-  the adjustment split into its positive and negative parts.
-* :func:`reconcile_general` handles smooth symmetric losses: l2 without a
-  box by the normal equations, and l2 under a box, Huber and custom losses
-  by one damped semismooth Newton kernel, with projected Newton steps on a
-  box of path components.
+* l2 without a box: conjugate gradient on the normal equations over path
+  values, applied through S and never formed, to :data:`L2_TOL`; a panel
+  is one block CG over a shared Krylov space.
+* l1: one linear program on HiGHS.
+* Huber, custom losses, l2 under a box and the relaxed loss: one damped
+  semismooth Newton kernel, given the loss's (f, f', c) triple.
 
-Every smooth loss reaches that kernel through one objective and Hessian
-builder, :func:`_minimize_path_loss`, given the loss's (f, f', c) triple.
-The relaxed reconciler of :mod:`flowrec.relaxed` is one more triple on
-that route: a per-edge dead zone, f(u) = (u - band)_+^2 with band epsilon
-on edges and 0 elsewhere.  Every route, the relaxed one included, builds
-its result in :func:`_package`, which scores the answer under its loss and
-checks its coherence.
-
+:func:`reconcile_l2`, :func:`reconcile_l1` and
+:func:`flowrec.relaxed.reconcile_relaxed` are one-line calls into it, and
+every route builds its result in :func:`_package`, which scores the answer
+under its loss and checks its coherence.  :func:`reconcile_weighted` is the
+dense closed-form weighted projection, kept as an independent reference.
 A root-mean-square objective shares its minimiser with the mean-square
 one, so no separate solver exists for it.
 """
@@ -64,7 +48,10 @@ from .series import (
     _vector_like,
 )
 
-LOSS_KINDS = ("l2", "l1", "huber", "custom")
+LOSS_KINDS = ("l2", "l1", "huber", "custom", "relaxed")
+
+# CG tolerance of every l2 solve without a box, vector or panel.
+L2_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -72,9 +59,13 @@ class LossSpec:
     """Which penalty to apply to per-component adjustments.
 
     Args:
-        kind: one of ``l2``, ``l1``, ``huber``, ``custom``.
-        weights: optional nonnegative per-component weights (default all 1).
+        kind: one of ``l2``, ``l1``, ``huber``, ``custom``, ``relaxed``.
+        weights: optional nonnegative per-component weights (default all 1);
+            the relaxed loss takes none.
         delta: Huber corner parameter, required for ``huber``.
+        epsilon: half-width of each edge's band, required for ``relaxed``:
+            the squared adjustment, with every edge value free to sit up to
+            epsilon off its path sum.
         f: for ``custom``, vectorised penalty on nonnegative residual
             magnitudes with f(0) = 0.
         f_prime: derivative of ``f``; must satisfy f'(0) = 0, otherwise the
@@ -85,6 +76,7 @@ class LossSpec:
     kind: str
     weights: np.ndarray | None = None
     delta: float | None = None
+    epsilon: float | None = None
     f: object = None
     f_prime: object = None
 
@@ -94,6 +86,11 @@ class LossSpec:
         if self.kind == "huber":
             if self.delta is None or not self.delta > 0:
                 raise BadParameter(f"huber needs delta > 0, got {self.delta!r}")
+        if self.kind == "relaxed":
+            if self.epsilon is None or not np.isfinite(self.epsilon) or self.epsilon < 0:
+                raise BadParameter(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
+            if self.weights is not None:
+                raise BadParameter("epsilon relaxes the unweighted l2 loss; drop the weights")
         if self.kind == "custom" and (self.f is None or self.f_prime is None):
             raise BadParameter("custom loss needs both f and f_prime")
 
@@ -136,12 +133,20 @@ class BoxConstraints:
     def unbounded(cls, n: int) -> "BoxConstraints":
         return cls(np.full(n, -np.inf), np.full(n, np.inf))
 
+    @classmethod
+    def nonnegative_paths(cls, agg: FlowAggregationMatrix) -> "BoxConstraints":
+        """b >= 0 on every path value and no other bound.  S is 0/1, so
+        every component of S b is then nonnegative too."""
+        box = cls.unbounded(agg.n)
+        box.lower[agg.index_map.path_slice] = 0.0
+        return box
+
 
 @dataclass
 class SolverStats:
     """How the answer was produced: counts, timing, and certificates.
 
-    Only the relaxed solver fills ``max_violation`` (its band certificate)
+    Only the relaxed loss fills ``max_violation`` (its band certificate)
     and ``refine_rounds`` (the band patterns its Newton steps met).
     """
 
@@ -158,8 +163,8 @@ class SolverStats:
 class ReconciliationResult:
     """A reconciled vector, the path values generating it, and provenance.
 
-    The relaxed solver's edge values may sit up to epsilon off their path
-    sums; every other vector is coherent.
+    Under the relaxed loss the edge values may sit up to epsilon off their
+    path sums; every other vector is coherent.
     """
 
     y_tilde: ForecastVector
@@ -194,7 +199,7 @@ def _score(loss: LossSpec, yhat: np.ndarray, y: np.ndarray):
     column for (n, H) panels."""
     r = np.abs(y - yhat)
     w = loss.resolved_weights(r.shape[0])
-    if loss.kind == "l2":
+    if loss.kind in ("l2", "relaxed"):
         return w @ (r * r)
     if loss.kind == "l1":
         return w @ r
@@ -238,10 +243,8 @@ def _package(
     ]
 
 
-def _l2_solve(
-    y: np.ndarray, agg: FlowAggregationMatrix, loss: LossSpec, method: str, tol: float, t0: float
-):
-    """Solve the weighted normal equations S^T W S b = S^T W y.
+def _l2_solve(y: np.ndarray, agg: FlowAggregationMatrix, loss: LossSpec, t0: float):
+    """Solve the weighted normal equations S^T W S b = S^T W y to :data:`L2_TOL`.
 
     CG applies S^T W S as v -> S^T (w * (S v)), or S^T (S v) without
     weights, so the Gram matrix, several times denser than S, is never
@@ -257,35 +260,29 @@ def _l2_solve(
         w = loss.resolved_weights(agg.n)
         wy = w if y.ndim == 1 else w[:, None]
         rhs, matvec = st @ (wy * y), lambda v: st @ (wy * (s @ v))
-    b, info = solve_spd_with_info(matvec, rhs, tol=tol)
+    b, info = solve_spd_with_info(matvec, rhs, tol=L2_TOL)
     wall = time.perf_counter() - t0
     if y.ndim == 1:
-        return b, SolverStats(method, info.iterations, wall, gradient_norm=2.0 * info.residual_norm)
+        return b, SolverStats(
+            "general:l2", info.iterations, wall, gradient_norm=2.0 * info.residual_norm
+        )
     share = wall / y.shape[1]
     return b, [
-        SolverStats(method, col.iterations, share, gradient_norm=2.0 * col.residual_norm)
+        SolverStats("general:l2", col.iterations, share, gradient_norm=2.0 * col.residual_norm)
         for col in info.columns
     ]
 
 
-def reconcile_l2(yhat, agg: FlowAggregationMatrix, tol: float = 1e-12) -> ReconciliationResult:
+def reconcile_l2(yhat, agg: FlowAggregationMatrix) -> ReconciliationResult:
     """Least-squares reconciliation: the orthogonal projection onto the
     coherent subspace, computed over path values.
 
     The normal-equation matrix S^T S is the path Gram matrix plus identity,
     so it is positive definite with eigenvalues >= 1 and conjugate gradient
     converges unconditionally.  It is applied through S, never formed.
-
-    Args:
-        yhat: base forecasts, one per component.
-        agg: aggregation operator of the network.
-        tol: relative residual tolerance for the inner solve.
+    This is :func:`reconcile_general` under plain l2.
     """
-    t0 = time.perf_counter()
-    y = _as_component_vector(yhat, agg.n)
-    loss = LossSpec("l2")
-    b, stats = _l2_solve(y, agg, loss, "l2", tol, t0)
-    return _package(yhat, y, agg.matrix @ b, b, agg, loss, stats)
+    return _dispatch(yhat, agg, LossSpec("l2"))
 
 
 def coherence_constraints(agg: FlowAggregationMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -368,31 +365,31 @@ def reconcile_l1(
     box: BoxConstraints | None = None,
     weights: np.ndarray | None = None,
 ) -> ReconciliationResult:
-    """Least-absolute-deviation reconciliation as a linear program.
+    """Least-absolute-deviation reconciliation as a linear program: this is
+    :func:`reconcile_general` under the (weighted) l1 loss, see
+    :func:`_l1_solve`."""
+    return _dispatch(yhat, agg, LossSpec("l1", weights=weights), box=box)
+
+
+def _l1_solve(y: np.ndarray, agg: FlowAggregationMatrix, w: np.ndarray, box, t0: float):
+    """Minimise sum_i w_i |(S b - y)_i| as one linear program.
 
     The adjustment of each component is split into its positive and
     negative parts p_i, q_i >= 0, one equality row per component:
-    ``S b - p + q = yhat`` over the variables ``[b; p; q]``, with b free
+    ``S b - p + q = y`` over the variables ``[b; p; q]``, with b free
     and cost ``w`` on both p and q, so at an optimum at most one of each
     positively weighted pair is nonzero.  A box [l, u] on S b becomes bounds on the split
-    parts, p in [max(l - yhat, 0), max(u - yhat, 0)] and q in
-    [max(yhat - u, 0), max(yhat - l, 0)]: every z = S b in [l, u] is
-    reached with p = (z - yhat)^+, q = (yhat - z)^+, and every (p, q) in
+    parts, p in [max(l - y, 0), max(u - y, 0)] and q in
+    [max(y - u, 0), max(y - l, 0)]: every z = S b in [l, u] is
+    reached with p = (z - y)^+, q = (y - z)^+, and every (p, q) in
     those bounds gives a z in [l, u].  So a box adds no row.  HiGHS solves
     the LP, and the strong-duality gap that :func:`solve_lp` recomputes
     from the returned duals is carried in ``stats.duality_gap``.
     """
-    t0 = time.perf_counter()
-    y = _as_component_vector(yhat, agg.n)
     n = agg.n
     np_ = agg.n_paths
-    loss = LossSpec("l1", weights=weights)
-    w = loss.resolved_weights(n)
     if box is None:
         box = BoxConstraints.unbounded(n)
-    elif box.lower.shape != (n,):
-        raise DimensionMismatch(f"box bounds must have length {n}")
-
     eye = sp.identity(n, format="csr")
     a_eq = sp.hstack([agg.matrix, -eye, eye], format="csr")
     cost = np.concatenate([np.zeros(np_), w, w])
@@ -403,18 +400,11 @@ def reconcile_l1(
         [np.full(np_, np.inf), np.maximum(box.upper - y, 0.0), np.maximum(y - box.lower, 0.0)]
     )
     sol = solve_lp(cost, a_eq, y, lower, upper)
-    b = sol.x[:np_]
     wall = time.perf_counter() - t0
-    stats = SolverStats(
-        method="l1",
-        iterations=sol.iterations,
-        wall_time_s=wall,
-        duality_gap=sol.duality_gap,
-    )
-    return _package(yhat, y, agg.matrix @ b, b, agg, loss, stats)
+    return sol.x[:np_], SolverStats("l1", sol.iterations, wall, duality_gap=sol.duality_gap)
 
 
-def _smooth_parts(loss: LossSpec, w: np.ndarray):
+def _smooth_parts(loss: LossSpec, w: np.ndarray, imap):
     """(f, f', c) of a smooth loss; c(|r|) weighs its generalised Hessian
     S^T diag(c) S.  A custom loss gets the IRLS weights w f'(u) / u (0 at
     u = 0), which need no second derivative; for f(u) = u^p they are the
@@ -425,12 +415,44 @@ def _smooth_parts(loss: LossSpec, w: np.ndarray):
     if loss.kind == "huber":
         d = float(loss.delta)
         return (lambda u: huber_value(u, d)), (lambda u: huber_slope(u, d)), (lambda u: w * (u <= d))
+    if loss.kind == "relaxed":
+        return _band_parts(float(loss.epsilon), imap)
 
     def curvature(u: np.ndarray) -> np.ndarray:
         slope = np.asarray(loss.f_prime(u), dtype=float)
         return w * np.divide(slope, u, out=np.zeros_like(u), where=u > 0.0)
 
     return loss.f, loss.f_prime, curvature
+
+
+def _band_parts(epsilon: float, imap):
+    """(f, f', c) of the relaxed loss: the squared distance of each
+    residual to its band, f(u) = (u - band)_+^2 with band epsilon on edges
+    and 0 on nodes and paths.
+
+    For fixed path values the best admissible edge value is the base
+    forecast clamped into the band, which leaves exactly this dead zone.
+    The curvature is 2 except on the edges inside their band (u > band
+    alone would also zero a node or path residual of 0); ``c.rounds``
+    counts the changes of that band pattern.
+    """
+    edges = imap.edge_slice
+    band = np.zeros(imap.n)
+    band[edges] = epsilon
+
+    def excess(u: np.ndarray) -> np.ndarray:
+        return np.maximum(u - band, 0.0)
+
+    def curvature(u: np.ndarray) -> np.ndarray:
+        active = u[edges] > epsilon
+        if curvature.pattern is None or not np.array_equal(active, curvature.pattern):
+            curvature.rounds, curvature.pattern = curvature.rounds + 1, active
+        c = np.full(imap.n, 2.0)
+        c[edges] = 2.0 * active
+        return c
+
+    curvature.rounds, curvature.pattern = 0, None
+    return (lambda u: excess(u) ** 2), (lambda u: 2.0 * excess(u)), curvature
 
 
 def _minimize_path_loss(y, agg: FlowAggregationMatrix, w, parts, b0, bounds, tol, max_iter):
@@ -458,57 +480,82 @@ def _minimize_path_loss(y, agg: FlowAggregationMatrix, w, parts, b0, bounds, tol
     return minimize_smooth_convex(objective, hessian, b0, tol=tol, max_iter=max_iter, bounds=bounds)
 
 
+def _solve_column(yhat, y, agg: FlowAggregationMatrix, loss, box, bounds, tol, max_iter, start):
+    """The result of one column off the l2 normal equations: the LP for l1,
+    the Newton kernel for every other loss."""
+    t0 = time.perf_counter()
+    w = loss.resolved_weights(agg.n)
+    if loss.kind == "l1":
+        b, stats = _l1_solve(y, agg, w, box, t0)
+        return _package(yhat, y, agg.matrix @ b, b, agg, loss, stats)
+    imap = agg.index_map
+    parts = _smooth_parts(loss, w, imap)
+    b0 = np.asarray(start, dtype=float) if start is not None else y[imap.path_slice].copy()
+    res = _minimize_path_loss(y, agg, w, parts, b0, bounds, tol, max_iter)
+    method = f"relaxed:{loss.epsilon}" if loss.kind == "relaxed" else f"general:{loss.kind}"
+    stats = SolverStats(
+        method, res.iterations, time.perf_counter() - t0, gradient_norm=res.gradient_norm
+    )
+    if loss.kind != "relaxed":
+        return _package(yhat, y, agg.matrix @ res.x, res.x, agg, loss, stats)
+    # Node values from the path values, edge forecasts clamped into their bands.
+    p, eps = res.x, loss.epsilon
+    edge_sums = agg.ep @ p
+    e_vals = np.clip(y[imap.edge_slice], edge_sums - eps, edge_sums + eps)
+    stats.refine_rounds = parts[2].rounds
+    result = _package(yhat, y, np.concatenate([agg.vp @ p, e_vals, p]), p, agg, loss, stats)
+    stats.max_violation = result.coherence.max_edge_residual
+    return result
+
+
 def reconcile_general(
     yhat,
     agg: FlowAggregationMatrix,
     loss: LossSpec,
     box: BoxConstraints | None = None,
-    tol: float = 1e-8,
+    tol: float | None = None,
     max_iter: int = 200,
     start: np.ndarray | None = None,
 ) -> ReconciliationResult | list[ReconciliationResult]:
-    """Reconcile under any smooth symmetric loss on the adjustments.
+    """Reconcile under any loss: the one dispatch.
 
-    The objective sum_i w_i f(|(S b)_i - yhat_i|) is differentiable in b
-    exactly when f'(0) = 0; the absolute loss fails that and is rejected
-    with :class:`NonSmoothLoss` (use :func:`reconcile_l1`).  Plain l2
-    without a box is routed through the normal equations; ``yhat`` may
-    then also be an (n, H) block of H forecasts (horizons), solved as one
-    block CG and returned as a list of H results in column order, the h-th
-    with horizon h + 1.  Every other smooth loss (l2 under a box, Huber,
-    custom) runs the one damped semismooth Newton kernel,
-    :func:`minimize_smooth_convex`, on the generalised Hessian
-    S^T diag(c) S, applied through S and never formed, with c = 2w for l2,
-    w [|r_i| <= delta] for Huber and the IRLS weights w f'(|r_i|) / |r_i|
-    for a custom loss.  It starts from ``start``, else the base path
-    values, and ``max_iter`` bounds its Newton steps.  The certificate is
-    the gradient norm, or under a box the projected-gradient norm.
+    ``yhat`` is one forecast vector, or an (n, H) panel of H horizons that
+    gives a list of H results, the k-th with horizon k + 1.  l2 without a
+    box solves a panel as one block CG, so a column is not bitwise its
+    one-column solve, but each meets its own certificate.  Every other
+    route solves the columns one at a time: l1 as a linear program (see
+    :func:`_l1_solve`), with a box on any component, and the other losses
+    on the Newton kernel, :func:`minimize_smooth_convex`, with generalised
+    Hessian S^T diag(c) S: c = 2w for l2, w [|r_i| <= delta] for Huber, the
+    IRLS weights w f'(|r_i|) / |r_i| for a custom loss and 2 off the
+    in-band edges for the relaxed one.  Newton starts from ``start``, else
+    the base path values, takes at most ``max_iter`` steps, and stops once
+    the gradient norm, or under a box the projected-gradient norm, is at
+    most ``tol`` (default 1e-10 for relaxed, else 1e-8) times
+    (1 + objective).  Its box acts on path components only, by projected
+    Newton steps; a finite node or edge bound belongs to l1, and the
+    relaxed loss takes no box.  The relaxed answer clamps the base edge
+    forecasts into their bands, and ``stats.max_violation`` is its largest
+    |path sum - edge value|.
 
-    Box constraints are honoured by projected Newton steps, which are exact
-    only where bounds touch path components (those coordinates are the
-    optimisation variables themselves); finite bounds on node or edge
-    components are rejected here and belong to the LP route.
+    A custom loss needs f'(0) = 0 and otherwise raises
+    :class:`NonSmoothLoss`: the objective is then not differentiable in b.
     """
+    return _dispatch(yhat, agg, loss, box, tol, max_iter, start)
+
+
+def _dispatch(yhat, agg, loss, box=None, tol=None, max_iter=200, start=None):
+    """The body of :func:`reconcile_general`.  The named reconcilers call it
+    directly, so that a traced call of one of them records one span."""
     t0 = time.perf_counter()
     n = agg.n
     y = np.asarray(getattr(yhat, "data", yhat), dtype=float)
-    if y.ndim == 2 and y.shape[0] == n:
-        if loss.kind != "l2" or box is not None:
-            raise DimensionMismatch(
-                f"an ({n}, H) block is reconciled only under l2 without a box; "
-                "pass its columns one at a time"
-            )
+    panel = y.ndim == 2 and y.shape[0] == n
+    if panel:
         if not np.all(np.isfinite(y)):
             raise BadParameter("component block contains NaN or infinite entries")
     else:
         y = _as_component_vector(y, n)
-    w = loss.resolved_weights(n)
-
-    if loss.kind == "l1":
-        raise NonSmoothLoss(
-            "the absolute loss is not differentiable at zero adjustment; "
-            "use reconcile_l1"
-        )
     if loss.kind == "custom":
         slope0 = float(np.asarray(loss.f_prime(np.zeros(1)))[0])
         if abs(slope0) > 1e-12:
@@ -521,27 +568,31 @@ def reconcile_general(
     if box is not None:
         if box.lower.shape != (n,):
             raise DimensionMismatch(f"box bounds must have length {n}")
-        imap = agg.index_map
-        off_path = slice(0, imap.n_nodes + imap.n_edges)
-        if np.any(np.isfinite(box.lower[off_path])) or np.any(
-            np.isfinite(box.upper[off_path])
-        ):
-            raise BadParameter(
-                "smooth-loss reconciliation supports box bounds on path "
-                "components only; bounds on aggregated components need reconcile_l1"
-            )
-        bounds = (box.lower[imap.path_slice], box.upper[imap.path_slice])
+        if loss.kind == "relaxed":
+            raise BadParameter("epsilon relaxes the l2 loss without box bounds; drop the box")
+        if loss.kind != "l1":
+            imap = agg.index_map
+            off_path = slice(0, imap.n_nodes + imap.n_edges)
+            if np.any(np.isfinite(box.lower[off_path])) or np.any(
+                np.isfinite(box.upper[off_path])
+            ):
+                raise BadParameter(
+                    "smooth-loss reconciliation supports box bounds on path "
+                    "components only; bounds on aggregated components need reconcile_l1"
+                )
+            bounds = (box.lower[imap.path_slice], box.upper[imap.path_slice])
+    if start is not None and np.shape(start) != (agg.n_paths,):
+        raise DimensionMismatch(f"start must hold {agg.n_paths} path values")
+    if tol is None:
+        tol = 1e-10 if loss.kind == "relaxed" else 1e-8
 
     if loss.kind == "l2" and box is None:
-        b, stats = _l2_solve(y, agg, loss, "general:l2", min(tol, 1e-10), t0)
+        b, stats = _l2_solve(y, agg, loss, t0)
         return _package(yhat, y, agg.matrix @ b, b, agg, loss, stats)
-
-    b0 = np.asarray(start, dtype=float) if start is not None else y[agg.index_map.path_slice].copy()
-    if b0.shape != (agg.n_paths,):
-        raise DimensionMismatch(f"start must hold {agg.n_paths} path values")
-    res = _minimize_path_loss(y, agg, w, _smooth_parts(loss, w), b0, bounds, tol, max_iter)
-    wall = time.perf_counter() - t0
-    stats = SolverStats(
-        f"general:{loss.kind}", res.iterations, wall, gradient_norm=res.gradient_norm
-    )
-    return _package(yhat, y, agg.matrix @ res.x, res.x, agg, loss, stats)
+    args = (agg, loss, box, bounds, tol, max_iter, start)
+    if not panel:
+        return _solve_column(yhat, y, *args)
+    return [
+        _solve_column(ForecastVector(col, horizon=k + 1), col, *args)
+        for k, col in enumerate(np.ascontiguousarray(y.T))
+    ]

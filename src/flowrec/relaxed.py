@@ -7,31 +7,17 @@ it already sits within the band.  Node values stay exact by construction
 slack.  As epsilon shrinks to zero the solution converges to the exact
 least-squares reconciliation.
 
-The solver optimises over path values only.  For a fixed path vector the
-best admissible edge value has a closed form (clamp the base forecast into
-the band), which leaves the squared distance of each residual to an
-interval: a per-edge dead zone f(u) = (u - band)_+^2 with band = epsilon
-on edges and 0 on nodes and paths.  That loss is continuously
-differentiable, strongly convex and piecewise quadratic in the path
-values, so it runs on the smooth route every reconciler shares: the one
-damped semismooth Newton kernel, with curvature 2 on every node and path
-residual and on the edges outside their band, 0 on those inside.  A few
-steps end it once that band pattern settles.
-
-The answer is the :class:`ReconciliationResult` every reconciler returns;
-its coherence report's edge residuals are the band violations.
+This is the loss kind ``LossSpec("relaxed", epsilon=...)`` of the one
+dispatch, :func:`flowrec.reconcile.reconcile_general`, which holds the
+solver: for fixed path values the best admissible edge value is the base
+forecast clamped into its band, which leaves a per-edge dead zone
+f(u) = (u - band)_+^2 on the shared damped semismooth Newton kernel.
 """
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
-
-from .errors import BadParameter
 from .network import FlowAggregationMatrix
-from .reconcile import LossSpec, ReconciliationResult, SolverStats, _minimize_path_loss, _package
-from .series import _as_component_vector
+from .reconcile import LossSpec, ReconciliationResult, _dispatch
 
 
 def reconcile_relaxed(
@@ -60,50 +46,7 @@ def reconcile_relaxed(
         BadParameter: epsilon negative or not finite.
         NoConvergence: Newton-step budget exhausted.
     """
-    t0 = time.perf_counter()
-    if not np.isfinite(epsilon) or epsilon < 0:
-        raise BadParameter(f"epsilon must be finite and >= 0, got {epsilon!r}")
-    imap = agg.index_map
-    y = _as_component_vector(yhat, imap.n)
-    edges = imap.edge_slice
-    band = np.zeros(imap.n)
-    band[edges] = epsilon
-
-    def excess(u: np.ndarray) -> np.ndarray:
-        return np.maximum(u - band, 0.0)
-
-    # Curvature 2 everywhere except on the edges inside their band; u > band
-    # alone would also zero a node or path residual of exactly 0.  Count
-    # each change of that band pattern.
-    rounds, pattern = 0, None
-
-    def curvature(u: np.ndarray) -> np.ndarray:
-        nonlocal rounds, pattern
-        active = u[edges] > epsilon
-        if pattern is None or not np.array_equal(active, pattern):
-            rounds, pattern = rounds + 1, active
-        c = np.full(imap.n, 2.0)
-        c[edges] = 2.0 * active
-        return c
-
-    parts = (lambda u: excess(u) ** 2), (lambda u: 2.0 * excess(u)), curvature
-    b0 = y[imap.path_slice]
-    res = _minimize_path_loss(y, agg, np.ones(imap.n), parts, b0, None, tol, max_iter)
-    p = res.x
-
-    edge_sums = agg.ep @ p
-    e_vals = np.clip(y[edges], edge_sums - epsilon, edge_sums + epsilon)
-    out = np.concatenate([agg.vp @ p, e_vals, p])
-    stats = SolverStats(
-        method=f"relaxed:{epsilon}",
-        iterations=res.iterations,
-        wall_time_s=time.perf_counter() - t0,
-        gradient_norm=res.gradient_norm,
-        refine_rounds=rounds,
-    )
-    result = _package(yhat, y, out, p, agg, LossSpec("l2"), stats)
-    stats.max_violation = result.coherence.max_edge_residual
-    return result
+    return _dispatch(yhat, agg, LossSpec("relaxed", epsilon=epsilon), tol=tol, max_iter=max_iter)
 
 
 __all__ = ["reconcile_relaxed"]

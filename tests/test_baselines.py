@@ -56,23 +56,43 @@ class TestOlsProjection:
         via_l2 = reconcile_l2(inst.y_base.data, inst.agg)
         assert via_projection.data == pytest.approx(via_l2.y_tilde.data, abs=1e-12)
 
-    def test_clamp_can_break_coherence(self, parallel_agg):
-        # A coherent vector with one negative path: clamping zeroes the
-        # negative entries but leaves positive aggregates untouched, so the
-        # source node no longer equals the sum of its paths.
+    def test_nonnegative_answer_is_coherent(self, parallel_agg):
+        # A coherent vector with one negative path.  Clamping the l2 answer
+        # would zero the negative entries but leave the positive aggregates,
+        # so the source node would no longer equal the sum of its paths; the
+        # exact nonnegative reconciliation moves the whole answer instead.
+        # With S^T S = [[6, 2], [2, 6]] and S^T y = [-2, 26], the first path
+        # sits on its bound and the second solves 6 b = 26.
         y = parallel_agg.aggregate(np.array([-2.0, 5.0]))
-        clamped = reconcile_mint_ols(y, parallel_agg, nonneg=True)
-        assert clamped.data.min() >= 0.0
-        report = check_coherence(clamped.data, parallel_agg)
-        assert not report.coherent
-        assert report.max_node_residual == pytest.approx(2.0)
+        out = reconcile_mint_ols(y, parallel_agg, nonneg=True).data
+        assert out.min() >= 0.0
+        assert check_coherence(out, parallel_agg).coherent
+        b = out[parallel_agg.index_map.path_slice]
+        assert b == pytest.approx([0.0, 13.0 / 3.0], abs=1e-8)
+        # The projected-gradient certificate of the box b >= 0, recomputed.
+        s = parallel_agg.matrix
+        grad = 2.0 * (s.T @ (s @ b - y))
+        loss = float(np.sum((out - y) ** 2))
+        assert np.linalg.norm(b - np.maximum(b - grad, 0.0)) <= 1e-8 * (1.0 + loss)
 
     def test_clamp_is_a_no_op_on_nonnegative_answers(self):
         inst = random_instance(nodes=12, seed=320)
         plain = reconcile_mint_ols(inst.y_base.data, inst.agg)
         assert plain.data.min() >= 0.0  # this seed yields a nonnegative answer
-        clamped = reconcile_mint_ols(inst.y_base.data, inst.agg, nonneg=True)
-        assert clamped.data == pytest.approx(plain.data, abs=0.0)
+        nonneg = reconcile_mint_ols(inst.y_base.data, inst.agg, nonneg=True)
+        # No bound is active, so both answers solve the same normal
+        # equations, each to its gradient-norm certificate g: S^T S has
+        # eigenvalues >= 1, which puts b within g / 2 of the optimum and
+        # S b within ||S||_2 g / 2.
+        s = inst.agg.matrix
+        y = inst.y_base.data
+        paths = inst.agg.index_map.path_slice
+        certificates = [
+            float(np.linalg.norm(2.0 * (s.T @ (s @ v.data[paths] - y)))) for v in (plain, nonneg)
+        ]
+        assert certificates[1] <= 1e-8 * (1.0 + float(np.sum((nonneg.data - y) ** 2)))
+        s_norm = np.linalg.norm(s.toarray(), 2)
+        assert np.linalg.norm(nonneg.data - plain.data) <= s_norm * sum(certificates) / 2.0
 
 
 class TestEvaluate:

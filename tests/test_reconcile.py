@@ -504,9 +504,19 @@ class TestGeneralLoss:
         with pytest.raises(BadParameter):
             reconcile_general(np.full(6, 4.0), chain_agg, LossSpec(kind="huber", delta=1.0), box=box)
 
-    def test_absolute_loss_is_rejected_here(self, chain_agg):
-        with pytest.raises(NonSmoothLoss):
-            reconcile_general(np.full(6, 4.0), chain_agg, LossSpec(kind="l1"))
+    def test_absolute_loss_runs_the_lp(self):
+        inst = random_instance(nodes=12, seed=65)
+        y = inst.y_base.data
+        w = np.linspace(0.5, 2.0, inst.agg.n)
+        box = BoxConstraints(inst.y_true.data - 1.0, inst.y_true.data + 1.0)
+        for weights, bounds in ((None, None), (w, box)):
+            via_dispatch = reconcile_general(y, inst.agg, LossSpec("l1", weights=weights), box=bounds)
+            direct = reconcile_l1(y, inst.agg, box=bounds, weights=weights)
+            assert np.array_equal(via_dispatch.y_tilde.data, direct.y_tilde.data)
+            assert np.array_equal(via_dispatch.b_tilde, direct.b_tilde)
+            assert via_dispatch.loss_value == direct.loss_value
+            assert via_dispatch.stats.method == direct.stats.method == "l1"
+            assert via_dispatch.stats.duality_gap == direct.stats.duality_gap
 
     def test_kinked_custom_loss_is_rejected(self, chain_agg):
         loss = LossSpec(
@@ -657,7 +667,9 @@ class TestPackagedResults:
         weighted = LossSpec("l2", weights=np.linspace(0.5, 2.0, n))
         huber = LossSpec("huber", delta=1.0)
         quartic = LossSpec("custom", f=lambda u: u**4, f_prime=lambda u: 4.0 * u**3)
+        relaxed = LossSpec("relaxed", epsilon=0.05)
         box = BoxConstraints(inst.y_true.data - 1.0, inst.y_true.data + 1.0)
+        nonneg = BoxConstraints.nonnegative_paths(agg)
         panel = np.column_stack([y, 1.1 * y, y[::-1]])
         cases = [
             (l2, y, reconcile_l2(y, agg)),
@@ -665,11 +677,25 @@ class TestPackagedResults:
             (LossSpec("l1"), y, reconcile_l1(y, agg, box=box)),
             (huber, y, reconcile_general(y, agg, huber)),
             (quartic, y, reconcile_general(y, agg, quartic)),
-            (l2, y, reconcile_relaxed(y, agg, 0.05)),
+            (relaxed, y, reconcile_relaxed(y, agg, 0.05)),
+            (l2, y, reconcile_general(y, agg, l2, box=nonneg)),
         ]
         cases += [
             (l2, panel[:, k], res) for k, res in enumerate(reconcile_general(panel, agg, l2))
         ]
+        # Off the l2 normal equations a panel is solved one column at a time:
+        # the k-th result is bitwise its one-column call, with horizon k + 1.
+        for loss, bounds in ((LossSpec("l1"), box), (huber, None), (quartic, None), (relaxed, None)):
+            solved = reconcile_general(panel, agg, loss, box=bounds)
+            assert len(solved) == panel.shape[1]
+            for k, res in enumerate(solved):
+                single = reconcile_general(panel[:, k].copy(), agg, loss, box=bounds)
+                assert np.array_equal(res.y_tilde.data, single.y_tilde.data), (loss.kind, k)
+                assert np.array_equal(res.b_tilde, single.b_tilde), (loss.kind, k)
+                assert res.loss_value == single.loss_value, (loss.kind, k)
+                assert res.stats.iterations == single.stats.iterations, (loss.kind, k)
+                assert res.y_tilde.horizon == k + 1
+                cases.append((loss, panel[:, k], res))
         for loss, yhat, res in cases:
             method = res.stats.method
             expected = evaluate_loss(loss, yhat, res.y_tilde)

@@ -5,10 +5,13 @@ import pytest
 
 from flowrec import (
     BadParameter,
+    BoxConstraints,
     ForecastVector,
     GeneratorConfig,
     NoConvergence,
+    LossSpec,
     generate_instance,
+    reconcile_general,
     reconcile_l2,
     reconcile_relaxed,
 )
@@ -152,6 +155,12 @@ class TestRelaxed:
             reconcile_relaxed(y, chain_agg, -1e-3)
         with pytest.raises(BadParameter):
             reconcile_relaxed(y, chain_agg, np.nan)
+        # The band relaxes the unweighted, unboxed l2 loss only.
+        with pytest.raises(BadParameter):
+            LossSpec("relaxed", epsilon=0.1, weights=np.ones(6))
+        with pytest.raises(BadParameter):
+            reconcile_general(y, chain_agg, LossSpec("relaxed", epsilon=0.1),
+                              box=BoxConstraints.unbounded(6))
 
     def test_budget_exhaustion_raises(self, chain_agg):
         y = chain_agg.aggregate(np.array([4.0]))

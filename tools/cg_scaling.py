@@ -9,12 +9,13 @@ For each size N in ``NODES``, an instance
 (``density_for_edge_target``) gets an (n, HORIZONS) panel of base
 forecasts: its truth scaled by a daily cycle plus 5 % Gaussian noise, as in
 ``perfbench``'s ``reconcile-l2-h24``.  Each checkout then solves
-S^T S B = S^T Y with ``solve_spd_with_info`` at tol 1e-10, in a fresh
+S^T S B = S^T Y with ``solve_spd_with_info`` at the tolerance its l2
+dispatch uses, ``flowrec.reconcile.L2_TOL``, in a fresh
 process with flowrec imported from its ``src`` and every BLAS pool pinned
 to one thread, which times one solve after an untimed one.  The two
 checkouts take ``REPEATS`` turns each, alternating which goes first, so
 that a change in the machine's speed meets both sides.  Reported per
-side: every time, their median and the operator steps, the largest
+side: the tolerance, every time, their median and the operator steps, the largest
 per-column iteration count (one column's CG iterations in a lockstep
 solve, the block's step count in a block solve).
 With ``--out``, the table is stored under ``"scaling"`` in FILE, which is
@@ -45,6 +46,7 @@ def measure(nodes: int) -> dict:
 
     from flowrec.benchmark import GeneratorConfig, density_for_edge_target, generate_instance
     from flowrec.numerics import solve_spd_with_info
+    from flowrec.reconcile import L2_TOL
 
     base = GeneratorConfig(nodes=nodes, seed=4000)
     cfg = GeneratorConfig(nodes=nodes, seed=4000, density=density_for_edge_target(base, 3 * nodes))
@@ -55,10 +57,10 @@ def measure(nodes: int) -> dict:
     truth = inst.y_true.data[:, None] * cycle[None, :]
     panel = truth + rng.normal(0.0, 0.05 * float(np.abs(truth).mean()), truth.shape)
     rhs = st @ panel
-    solve_spd_with_info(lambda v: st @ (s @ v), rhs, tol=1e-10)
+    solve_spd_with_info(lambda v: st @ (s @ v), rhs, tol=L2_TOL)
     start = time.perf_counter()
-    _, info = solve_spd_with_info(lambda v: st @ (s @ v), rhs, tol=1e-10)
-    return {"paths": inst.agg.n_paths, "edges": len(inst.network.edges),
+    _, info = solve_spd_with_info(lambda v: st @ (s @ v), rhs, tol=L2_TOL)
+    return {"paths": inst.agg.n_paths, "edges": len(inst.network.edges), "tol": L2_TOL,
             "ms": 1e3 * (time.perf_counter() - start),
             "steps": max(c.iterations for c in info.columns)}
 
@@ -95,7 +97,7 @@ def main() -> int:
         for side, done in runs.items():
             times = [run["ms"] for run in done]
             row[side] = {"ms": times, "median_ms": statistics.median(times),
-                         "steps": done[0]["steps"]}
+                         "steps": done[0]["steps"], "tol": done[0]["tol"]}
         rows.append(row)
         print(f"{nodes} nodes: {row['parent']['median_ms']:.1f} ms, {row['parent']['steps']} steps"
               f" -> {row['change']['median_ms']:.1f} ms, {row['change']['steps']} steps")
@@ -107,7 +109,8 @@ def main() -> int:
         bench["scaling"] = {
             "description": (
                 f"tools/cg_scaling.py: {REPEATS} alternating turns per side of one timed "
-                f"solve_spd_with_info call on an (n, {HORIZONS}) panel per size, tol 1e-10, one "
+                f"solve_spd_with_info call on an (n, {HORIZONS}) panel per size, at each side's "
+                "flowrec.reconcile.L2_TOL (its \"tol\"), one "
                 "thread, each in a fresh process; steps = largest per-column iteration count"),
             "rows": rows,
         }
