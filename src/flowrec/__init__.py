@@ -24,7 +24,6 @@ from .benchmark import (
     method_callable,
     permitted_edge_count,
     run_benchmark,
-    thread_count,
 )
 from .dynamic import (
     EdgeAdditionResult,

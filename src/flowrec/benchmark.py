@@ -7,9 +7,10 @@ draw path flows, aggregate — and base forecasts are truth plus i.i.d.
 Gaussian noise, so every method can be scored against a known answer.
 
 Determinism contract: each instance derives its own RNG stream from
-``seed + index``, which makes generation independent of evaluation order
-and thread scheduling.  Metric CSVs are byte-reproducible for a fixed
-config; wall times, which cannot be, go to a separate timings file.
+``seed + index``, so an instance does not depend on which others were
+generated before it.  Instances run one after another.  Metric CSVs are
+byte-reproducible for a fixed config; wall times, which cannot be, go to
+a separate timings file.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import csv
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -317,20 +317,6 @@ def method_callable(name: str):
     return reconciler_arm
 
 
-def thread_count() -> int:
-    """Worker count from FLOWREC_THREADS: unset means 1, 0 means all cores."""
-    raw = os.environ.get("FLOWREC_THREADS", "").strip()
-    if raw == "":
-        return 1
-    try:
-        k = int(raw)
-    except ValueError:
-        raise BadParameter(f"FLOWREC_THREADS={raw!r} is not an integer") from None
-    if k < 0:
-        raise BadParameter(f"FLOWREC_THREADS must be >= 0, got {k}")
-    return k if k > 0 else (os.cpu_count() or 1)
-
-
 # --- harness ---------------------------------------------------------------------
 
 
@@ -418,17 +404,10 @@ def run_benchmark(
         raise BadParameter("duplicate method names")
     fns = [method_callable(name) for name in methods]
 
-    workers = thread_count()
-    indices = range(cfg.instances)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda i: _run_one(cfg, i, methods, fns), indices))
-    else:
-        results = [_run_one(cfg, i, methods, fns) for i in indices]
-
     per_instance: list[dict] = []
     timings: list[dict] = []
-    for metric_rows, timing_rows in results:
+    for index in range(cfg.instances):
+        metric_rows, timing_rows = _run_one(cfg, index, methods, fns)
         per_instance.extend(metric_rows)
         timings.extend(timing_rows)
 
@@ -451,7 +430,7 @@ def run_benchmark(
         timings=timings,
     )
     if out_dir is not None:
-        _write_outputs(report, out_dir, workers)
+        _write_outputs(report, out_dir)
     return report
 
 
@@ -472,16 +451,12 @@ def _write_csv(path: str, rows: list[dict]) -> None:
             writer.writerow([_format_cell(row[f]) for f in fields])
 
 
-def _write_outputs(report: BenchmarkReport, out_dir: str, workers: int) -> None:
+def _write_outputs(report: BenchmarkReport, out_dir: str) -> None:
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create {out_dir}: {exc}") from exc
-    config_payload = {
-        **asdict(report.config),
-        "methods": list(report.methods),
-        "threads": workers,
-    }
+    config_payload = {**asdict(report.config), "methods": list(report.methods)}
     files = {
         "per_instance": os.path.join(out_dir, "per_instance.csv"),
         "summary": os.path.join(out_dir, "summary.csv"),

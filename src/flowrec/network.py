@@ -28,6 +28,7 @@ import scipy.sparse as sp
 from .errors import (
     BrokenPath,
     DanglingEdge,
+    DimensionMismatch,
     DuplicateId,
     UnknownIndex,
     ValidationError,
@@ -309,14 +310,17 @@ class Network:
             raise UnknownIndex(f"{kind} index {index} out of range [0, {rows})")
         return tuple(block.indices[block.indptr[index] : block.indptr[index + 1]].tolist())
 
+    @cached_property
+    def _out_edge_table(self) -> tuple[tuple[int, ...], ...]:
+        """Row v holds the edge indices leaving node v, built on first use."""
+        outs: list[list[int]] = [[] for _ in self.nodes]
+        for i, (t, _) in enumerate(self.edges):
+            outs[self.node_index[t]].append(i)
+        return tuple(tuple(o) for o in outs)
+
     def out_edges(self, node: int) -> tuple[int, ...]:
         """Edge indices leaving ``node``, in edge order."""
-        if not hasattr(self, "_out_edges"):
-            outs: list[list[int]] = [[] for _ in self.nodes]
-            for i, (t, _) in enumerate(self.edges):
-                outs[self.node_index[t]].append(i)
-            self._out_edges = tuple(tuple(o) for o in outs)
-        return self._out_edges[node]
+        return self._out_edge_table[node]
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -411,8 +415,6 @@ class FlowAggregationMatrix:
         """Lift a vector of path values to the full coherent stack."""
         b = np.asarray(path_values, dtype=float)
         if b.shape != (self.index_map.n_paths,):
-            from .errors import DimensionMismatch
-
             raise DimensionMismatch(
                 f"expected {self.index_map.n_paths} path values, got shape {b.shape}"
             )

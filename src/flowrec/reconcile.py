@@ -52,6 +52,10 @@ LOSS_KINDS = ("l2", "l1", "huber", "custom", "relaxed")
 
 # CG tolerance of every l2 solve without a box, vector or panel.
 L2_TOL = 1e-10
+# Newton tolerance, relative to 1 + objective, of every other smooth loss,
+# and of the relaxed one.
+NEWTON_TOL = 1e-8
+RELAXED_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -84,8 +88,8 @@ class LossSpec:
         if self.kind not in LOSS_KINDS:
             raise BadParameter(f"loss kind {self.kind!r} not in {LOSS_KINDS}")
         if self.kind == "huber":
-            if self.delta is None or not self.delta > 0:
-                raise BadParameter(f"huber needs delta > 0, got {self.delta!r}")
+            if self.delta is None or not np.isfinite(self.delta) or self.delta <= 0:
+                raise BadParameter(f"huber needs a finite delta > 0, got {self.delta!r}")
         if self.kind == "relaxed":
             if self.epsilon is None or not np.isfinite(self.epsilon) or self.epsilon < 0:
                 raise BadParameter(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
@@ -455,7 +459,7 @@ def _band_parts(epsilon: float, imap):
     return (lambda u: excess(u) ** 2), (lambda u: 2.0 * excess(u)), curvature
 
 
-def _minimize_path_loss(y, agg: FlowAggregationMatrix, w, parts, b0, bounds, tol, max_iter):
+def _minimize_path_loss(y, agg: FlowAggregationMatrix, w, parts, b0, bounds, tol, max_iter=200):
     """Minimise sum_i w_i f(|(S b - y)_i|) over path values b on the one
     Newton kernel, :func:`minimize_smooth_convex`.
 
@@ -480,9 +484,9 @@ def _minimize_path_loss(y, agg: FlowAggregationMatrix, w, parts, b0, bounds, tol
     return minimize_smooth_convex(objective, hessian, b0, tol=tol, max_iter=max_iter, bounds=bounds)
 
 
-def _solve_column(yhat, y, agg: FlowAggregationMatrix, loss, box, bounds, tol, max_iter, start):
+def _solve_column(yhat, y, agg: FlowAggregationMatrix, loss, box, bounds):
     """The result of one column off the l2 normal equations: the LP for l1,
-    the Newton kernel for every other loss."""
+    the Newton kernel, from the base path values, for every other loss."""
     t0 = time.perf_counter()
     w = loss.resolved_weights(agg.n)
     if loss.kind == "l1":
@@ -490,8 +494,8 @@ def _solve_column(yhat, y, agg: FlowAggregationMatrix, loss, box, bounds, tol, m
         return _package(yhat, y, agg.matrix @ b, b, agg, loss, stats)
     imap = agg.index_map
     parts = _smooth_parts(loss, w, imap)
-    b0 = np.asarray(start, dtype=float) if start is not None else y[imap.path_slice].copy()
-    res = _minimize_path_loss(y, agg, w, parts, b0, bounds, tol, max_iter)
+    tol = RELAXED_TOL if loss.kind == "relaxed" else NEWTON_TOL
+    res = _minimize_path_loss(y, agg, w, parts, y[imap.path_slice], bounds, tol)
     method = f"relaxed:{loss.epsilon}" if loss.kind == "relaxed" else f"general:{loss.kind}"
     stats = SolverStats(
         method, res.iterations, time.perf_counter() - t0, gradient_norm=res.gradient_norm
@@ -513,9 +517,6 @@ def reconcile_general(
     agg: FlowAggregationMatrix,
     loss: LossSpec,
     box: BoxConstraints | None = None,
-    tol: float | None = None,
-    max_iter: int = 200,
-    start: np.ndarray | None = None,
 ) -> ReconciliationResult | list[ReconciliationResult]:
     """Reconcile under any loss: the one dispatch.
 
@@ -528,10 +529,10 @@ def reconcile_general(
     on the Newton kernel, :func:`minimize_smooth_convex`, with generalised
     Hessian S^T diag(c) S: c = 2w for l2, w [|r_i| <= delta] for Huber, the
     IRLS weights w f'(|r_i|) / |r_i| for a custom loss and 2 off the
-    in-band edges for the relaxed one.  Newton starts from ``start``, else
-    the base path values, takes at most ``max_iter`` steps, and stops once
-    the gradient norm, or under a box the projected-gradient norm, is at
-    most ``tol`` (default 1e-10 for relaxed, else 1e-8) times
+    in-band edges for the relaxed one.  Newton starts from the base path
+    values, takes at most 200 steps, and stops once the gradient norm, or
+    under a box the projected-gradient norm, is at most
+    :data:`NEWTON_TOL` (:data:`RELAXED_TOL` for relaxed) times
     (1 + objective).  Its box acts on path components only, by projected
     Newton steps; a finite node or edge bound belongs to l1, and the
     relaxed loss takes no box.  The relaxed answer clamps the base edge
@@ -541,10 +542,10 @@ def reconcile_general(
     A custom loss needs f'(0) = 0 and otherwise raises
     :class:`NonSmoothLoss`: the objective is then not differentiable in b.
     """
-    return _dispatch(yhat, agg, loss, box, tol, max_iter, start)
+    return _dispatch(yhat, agg, loss, box)
 
 
-def _dispatch(yhat, agg, loss, box=None, tol=None, max_iter=200, start=None):
+def _dispatch(yhat, agg, loss, box=None):
     """The body of :func:`reconcile_general`.  The named reconcilers call it
     directly, so that a traced call of one of them records one span."""
     t0 = time.perf_counter()
@@ -581,18 +582,15 @@ def _dispatch(yhat, agg, loss, box=None, tol=None, max_iter=200, start=None):
                     "components only; bounds on aggregated components need reconcile_l1"
                 )
             bounds = (box.lower[imap.path_slice], box.upper[imap.path_slice])
-    if start is not None and np.shape(start) != (agg.n_paths,):
-        raise DimensionMismatch(f"start must hold {agg.n_paths} path values")
-    if tol is None:
-        tol = 1e-10 if loss.kind == "relaxed" else 1e-8
 
+    if panel and y.shape[1] == 0:
+        return []
     if loss.kind == "l2" and box is None:
         b, stats = _l2_solve(y, agg, loss, t0)
         return _package(yhat, y, agg.matrix @ b, b, agg, loss, stats)
-    args = (agg, loss, box, bounds, tol, max_iter, start)
     if not panel:
-        return _solve_column(yhat, y, *args)
+        return _solve_column(yhat, y, agg, loss, box, bounds)
     return [
-        _solve_column(ForecastVector(col, horizon=k + 1), col, *args)
+        _solve_column(ForecastVector(col, horizon=k + 1), col, agg, loss, box, bounds)
         for k, col in enumerate(np.ascontiguousarray(y.T))
     ]

@@ -20,33 +20,27 @@ from .network import FlowAggregationMatrix
 from .reconcile import LossSpec, ReconciliationResult, _dispatch
 
 
-def reconcile_relaxed(
-    yhat,
-    agg: FlowAggregationMatrix,
-    epsilon: float,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> ReconciliationResult:
+def reconcile_relaxed(yhat, agg: FlowAggregationMatrix, epsilon: float) -> ReconciliationResult:
     """Minimise the squared adjustment subject to per-edge slack epsilon.
 
     ``y_tilde`` stacks the node values of ``b_tilde``, the base edge
     forecasts clamped into their bands and ``b_tilde``; ``loss_value`` is
     its squared distance to ``yhat``.  ``stats.max_violation``, the largest
-    |path sum - edge value|, is at most epsilon up to rounding.
+    |path sum - edge value|, is at most epsilon up to rounding.  Newton
+    stops once the gradient norm in the path values is at most
+    :data:`flowrec.reconcile.RELAXED_TOL` times (1 + objective), within
+    200 steps.
 
     Args:
         yhat: base forecasts for every component.
         agg: aggregation operator of the network.
         epsilon: half-width of the admissible band per edge, >= 0.
-        tol: declare convergence once the gradient norm in the path values
-            is at most tol * (1 + objective).
-        max_iter: Newton-step budget.
 
     Raises:
         BadParameter: epsilon negative or not finite.
         NoConvergence: Newton-step budget exhausted.
     """
-    return _dispatch(yhat, agg, LossSpec("relaxed", epsilon=epsilon), tol=tol, max_iter=max_iter)
+    return _dispatch(yhat, agg, LossSpec("relaxed", epsilon=epsilon))
 
 
 __all__ = ["reconcile_relaxed"]

@@ -20,7 +20,6 @@ from flowrec import (
     reconcile_general,
     reconcile_l2,
     run_benchmark,
-    thread_count,
 )
 from flowrec.benchmark import (
     FLOW_HIGH,
@@ -276,28 +275,6 @@ class TestMethodCatalogue:
         assert np.max(np.abs(sparse - dense)) <= 1e-8 * scale
 
 
-class TestThreadCount:
-    def test_unset_means_one(self, monkeypatch):
-        monkeypatch.delenv("FLOWREC_THREADS", raising=False)
-        assert thread_count() == 1
-
-    def test_explicit_value(self, monkeypatch):
-        monkeypatch.setenv("FLOWREC_THREADS", "4")
-        assert thread_count() == 4
-
-    def test_zero_means_all_cores(self, monkeypatch):
-        monkeypatch.setenv("FLOWREC_THREADS", "0")
-        assert thread_count() >= 1
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("FLOWREC_THREADS", "abc")
-        with pytest.raises(BadParameter):
-            thread_count()
-        monkeypatch.setenv("FLOWREC_THREADS", "-2")
-        with pytest.raises(BadParameter):
-            thread_count()
-
-
 SMALL = dict(nodes=10, instances=5, seed=21)
 
 
@@ -385,26 +362,10 @@ class TestRunBenchmark:
         expected = {
             "nodes": 10, "instances": 5, "density": None, "sigma": None,
             "max_paths": None, "max_hops": 8, "seed": 21,
-            "methods": ["base", "l2"], "threads": thread_count(),
+            "methods": ["base", "l2"],
         }
         text = json.dumps(expected, indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "config.json").read_text() == text
-
-    def test_threaded_run_matches_serial_output(self, tmp_path, monkeypatch):
-        cfg = GeneratorConfig(**SMALL)
-        monkeypatch.delenv("FLOWREC_THREADS", raising=False)
-        serial = tmp_path / "serial"
-        run_benchmark(cfg, methods=("base", "l2"), out_dir=str(serial))
-        monkeypatch.setenv("FLOWREC_THREADS", "2")
-        threaded = tmp_path / "threaded"
-        run_benchmark(cfg, methods=("base", "l2"), out_dir=str(threaded))
-        assert (serial / "per_instance.csv").read_bytes() == (
-            threaded / "per_instance.csv"
-        ).read_bytes()
-        assert (serial / "summary.csv").read_bytes() == (
-            threaded / "summary.csv"
-        ).read_bytes()
-        # config.json records the worker count, so it legitimately differs.
 
     def test_least_squares_beats_base_and_bottom_up_on_the_small_run(self):
         cfg = GeneratorConfig(nodes=12, instances=10, seed=23)

@@ -388,6 +388,15 @@ class TestReconcileErrors:
         assert rc == 2
         assert "huber" in capsys.readouterr().err
 
+    def test_infinite_huber_delta_is_refused(self, tmp_path, chain_net, capsys):
+        net_path, fc_path = stage(tmp_path, chain_net, CHAIN_BASE)
+        rc = main(
+            ["reconcile", "--network", net_path, "--forecast", fc_path,
+             "--loss", "huber:inf", "--out", str(tmp_path / "o.csv")]
+        )
+        assert rc == 2
+        assert "finite delta" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "extra",
         [

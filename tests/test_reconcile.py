@@ -31,6 +31,16 @@ from flowrec.numerics import SparseSpd, solve_lp
 from conftest import coherent_distribution_vector, random_instance
 
 
+def newton_from(yhat, agg, loss, start):
+    """The Newton kernel of a smooth ``loss`` run from path values ``start``;
+    the dispatch always starts it from the base path values."""
+    w = loss.resolved_weights(agg.n)
+    parts = flowrec.reconcile._smooth_parts(loss, w, agg.index_map)
+    return flowrec.reconcile._minimize_path_loss(
+        yhat, agg, w, parts, start, None, flowrec.reconcile.NEWTON_TOL
+    )
+
+
 def row_form_l1_optimum(yhat, s, box):
     """min sum |S b - yhat| over S b in the box, in the "<=" row form.
 
@@ -438,7 +448,7 @@ class TestGeneralLoss:
     def test_custom_quartic_against_grid_refinement(self, parallel_agg):
         yhat = np.array([10.0, 2.0, 6.0, 7.0, 3.0, 1.0, 5.0, 6.0, 2.0, 4.0])
         loss = LossSpec(kind="custom", f=lambda u: u**4, f_prime=lambda u: 4.0 * u**3)
-        result = reconcile_general(yhat, parallel_agg, loss, tol=1e-10)
+        result = reconcile_general(yhat, parallel_agg, loss)
         dense = parallel_agg.matrix.toarray()
 
         def objective(b1, b2):
@@ -473,20 +483,20 @@ class TestGeneralLoss:
         imap = inst.agg.index_map
         start = inst.y_base.data[imap.path_slice] + 50.0
         assert np.all(np.abs(inst.agg.matrix @ start - inst.y_base.data) > loss.delta)
-        far = reconcile_general(inst.y_base.data, inst.agg, loss, start=start)
+        far = newton_from(inst.y_base.data, inst.agg, loss, start)
         near = reconcile_general(inst.y_base.data, inst.agg, loss)
-        assert far.stats.gradient_norm <= 1e-8 * (1.0 + far.loss_value)
-        r = far.y_tilde.data - inst.y_base.data
+        assert far.gradient_norm <= 1e-8 * (1.0 + far.value)
+        r = inst.agg.matrix @ far.x - inst.y_base.data
         grad = inst.agg.matrix.T @ np.clip(r, -loss.delta, loss.delta)
-        assert float(np.linalg.norm(grad)) <= 1e-8 * (1.0 + far.loss_value)
-        assert far.loss_value == pytest.approx(near.loss_value, rel=1e-9)
+        assert float(np.linalg.norm(grad)) <= 1e-8 * (1.0 + far.value)
+        assert far.value == pytest.approx(near.loss_value, rel=1e-9)
 
     def test_two_starts_reach_the_same_optimum(self, parallel_agg):
         yhat = np.array([10.0, 2.0, 6.0, 7.0, 3.0, 1.0, 5.0, 6.0, 2.0, 4.0])
         loss = LossSpec(kind="huber", delta=1.5)
-        from_zero = reconcile_general(yhat, parallel_agg, loss, start=np.zeros(2))
-        from_far = reconcile_general(yhat, parallel_agg, loss, start=np.array([50.0, -20.0]))
-        assert from_zero.b_tilde == pytest.approx(from_far.b_tilde, abs=1e-6)
+        from_zero = newton_from(yhat, parallel_agg, loss, np.zeros(2))
+        from_far = newton_from(yhat, parallel_agg, loss, np.array([50.0, -20.0]))
+        assert from_zero.x == pytest.approx(from_far.x, abs=1e-6)
 
     def test_box_clamps_path_components(self, chain_agg):
         y = np.full(6, 4.0)
@@ -707,3 +717,12 @@ class TestPackagedResults:
             assert res.coherence.max_edge_residual == report.max_edge_residual, method
             assert np.array_equal(res.coherence.node_residuals, report.node_residuals), method
             assert np.array_equal(res.coherence.edge_residuals, report.edge_residuals), method
+
+    @pytest.mark.parametrize(
+        "loss",
+        [LossSpec("l2"), LossSpec("l1"), LossSpec("huber", delta=1.0),
+         LossSpec("relaxed", epsilon=0.05)],
+        ids=["l2", "l1", "huber", "relaxed"],
+    )
+    def test_empty_panel_gives_no_results(self, chain_agg, loss):
+        assert reconcile_general(np.zeros((chain_agg.n, 0)), chain_agg, loss) == []

@@ -15,6 +15,7 @@ from flowrec import (
     reconcile_l2,
     reconcile_relaxed,
 )
+from flowrec.reconcile import RELAXED_TOL, _band_parts, _minimize_path_loss
 
 from conftest import random_instance
 
@@ -161,12 +162,22 @@ class TestRelaxed:
         with pytest.raises(BadParameter):
             reconcile_general(y, chain_agg, LossSpec("relaxed", epsilon=0.1),
                               box=BoxConstraints.unbounded(6))
+        # Huber's corner, like the band, must be finite.
+        with pytest.raises(BadParameter):
+            LossSpec("huber", delta=np.inf)
 
     def test_budget_exhaustion_raises(self, chain_agg):
+        # The budget is the kernel's; one step from the base path values
+        # does not reach the relaxed optimum.
         y = chain_agg.aggregate(np.array([4.0]))
         y[1] = 10.0
+        imap = chain_agg.index_map
+        parts = _band_parts(1e-3, imap)
         with pytest.raises(NoConvergence):
-            reconcile_relaxed(y, chain_agg, 1e-3, max_iter=1)
+            _minimize_path_loss(
+                y, chain_agg, np.ones(imap.n), parts, y[imap.path_slice], None,
+                RELAXED_TOL, max_iter=1,
+            )
 
     def test_heavy_tail_instances_finish_in_few_newton_steps(self):
         for seed in HEAVY_TAIL_SEEDS:

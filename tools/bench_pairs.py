@@ -134,6 +134,8 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     args = ap.parse_args()
+    if args.pairs < 2:
+        ap.error(f"--pairs must be at least 2 to give quartiles, got {args.pairs}")
 
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(roots["parent"], "BENCHMARK.json")) as fh:
