@@ -22,7 +22,13 @@ import numpy as np
 
 from . import fileio
 from .benchmark import DEFAULT_METHODS, GeneratorConfig, run_benchmark
-from .dynamic import UpdateLedger, add_edge_update, check_data_update, remove_edge
+from .dynamic import (
+    LEDGER_LOSSES,
+    UpdateLedger,
+    add_edge_update,
+    check_data_update,
+    remove_edge,
+)
 from .errors import BadParameter, Disconnected, FlowRecError, SolverError, ValidationError
 from .network import FlowAggregationMatrix
 from .reconcile import LossSpec, reconcile_general
@@ -170,7 +176,7 @@ def _cmd_check_update(args) -> int:
     net = fileio.read_network(args.network)
     y_rec = fileio.read_forecast(args.reconciled, net)[0]
     y_base = fileio.read_forecast(args.forecast, net)[0]
-    ledger = UpdateLedger(y_rec.data, y_base.data, index_map=net.index_map)
+    ledger = UpdateLedger(y_rec.data, y_base.data, index_map=net.index_map, loss=args.loss)
     idx = fileio.component_index(net, args.kind, args.id)
     verdict = check_data_update(ledger, idx, args.value)
     print(verdict.value)
@@ -259,9 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk = upd_sub.add_parser(
         "check-update",
-        help="test whether a changed input forecast can keep the reconciliation; "
-        "exact for l1, while under l2 a fresh solve can beat the kept vector "
-        "by delta^2 * P_xx",
+        help="test whether a changed input forecast can keep the reconciliation: "
+        "under l2, when a fresh solve could beat the kept vector by at most "
+        "1e-9 * (1 + its loss) (a squared move delta^2 within that bound); "
+        "under l1, when the value moves strictly toward the reconciled one",
     )
     chk.add_argument("--network", required=True)
     chk.add_argument("--reconciled", required=True)
@@ -269,6 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--kind", required=True, choices=("node", "edge", "path"))
     chk.add_argument("--id", required=True, help="component id (name, tail->head, or Pi)")
     chk.add_argument("--value", type=float, required=True)
+    chk.add_argument(
+        "--loss",
+        choices=LEDGER_LOSSES,
+        default="l2",
+        help="loss the reconciled CSV was solved under (default l2)",
+    )
     chk.set_defaults(func=_cmd_check_update)
 
     ben = sub.add_parser("benchmark", help="compare methods on random instances")

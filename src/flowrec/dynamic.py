@@ -6,20 +6,27 @@ Three situations are covered:
   (:func:`add_edge_update`);
 * a single base forecast component changes and we want a constant-time
   check of whether the old reconciliation can be kept
-  (:func:`check_data_update`, :func:`apply_monotone_sequence`; exact for
-  l1, not for l2);
+  (:func:`check_data_update`, :func:`apply_monotone_sequence`).  Under
+  l2, the ledger's default, the kept vector stands while the forecast's
+  squared move is at most ``L2_KEEP_TOL * (1 + kept loss)``, which bounds
+  what a fresh solve could gain; under l1, while each move goes strictly
+  toward the kept value, which keeps it exactly optimal;
 * an edge disappears and its flow has to be rerouted along surviving
   routes (:func:`remove_edge`).
 
 Both edge edits derive the updated network and its aggregation operator
-from the current ones (``Network._edit``) instead of rebuilding them: the
-Python work grows with the affected paths, plus O(nnz) array work on the
-operator, one O(nnz) coherence pass on the prior vector and one O(nnz)
-lift of the updated path values through the new operator.
+from the current ones (``Network._edit``) instead of rebuilding them.
+Python work is spent on the affected and new paths only (and on the
+rerouting search); the rest is vectorised array work: O(nnz) to cut the
+edited operator and path tables from the current ones' arrays, one O(nnz)
+coherence pass on the prior vector and one O(nnz) lift of the updated path
+values through the new operator.  The edited network's ``paths``,
+``path_nodes`` and ``edge_index`` are built only if something reads them.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect
 from collections import deque
 from dataclasses import dataclass, field
@@ -101,16 +108,17 @@ def add_edge_update(
             natural choice for genuinely new routes).
 
     ``y_tilde`` must be coherent for ``net`` (else :class:`ValidationError`).
-    The updated network and its operator are derived from ``net``'s; only
-    the new paths are validated, by the constructor's rules.  The returned
-    vector keeps the horizon of ``y_tilde``.
+    Every argument is checked before the edit, so a refused call builds
+    nothing.  The updated network and its operator are derived from
+    ``net``'s; only the new paths are validated, by the constructor's rules.
+    The returned vector keeps the horizon of ``y_tilde``.
     """
     imap = net.index_map
     y = _as_component_vector(y_tilde, imap.n)
     tail, head = str(edge[0]), str(edge[1])
     if tail not in net.node_index or head not in net.node_index:
         raise DanglingEdge(f"edge ({tail!r}, {head!r}) references an undeclared node")
-    if (tail, head) in net.edge_index:
+    if net.find_edge(tail, head) is not None:
         raise EdgeExists(f"edge ({tail!r}, {head!r}) is already present")
     if not np.isfinite(edge_forecast):
         raise BadParameter("edge forecast must be finite")
@@ -122,7 +130,6 @@ def add_edge_update(
     for i, p in enumerate(paths):
         if new_edge_idx not in p:
             raise BadParameter(f"new path {i} does not use the added edge")
-    updated = net._edit(add=(tail, head), new_paths=paths)
 
     k = len(paths)
     if initial_values is None:
@@ -135,6 +142,7 @@ def add_edge_update(
             raise BadParameter("initial_values must be finite")
 
     _require_coherent(y, net)
+    updated = net._edit(add=(tail, head), new_paths=paths)
 
     delta = float(edge_forecast) - float(init.sum())
     adjustment = delta / k
@@ -159,6 +167,13 @@ class UpdateVerdict(str, Enum):
     NEEDS_RERECONCILE = "needs-rereconcile"
 
 
+#: Under l2 a kept reconciliation stays ``still-optimal`` while a fresh
+#: solve would beat it by at most ``L2_KEEP_TOL * (1 + kept loss)``.
+L2_KEEP_TOL = 1e-9
+
+LEDGER_LOSSES = ("l2", "l1")
+
+
 @dataclass
 class UpdateRecord:
     component: int
@@ -171,24 +186,37 @@ class UpdateRecord:
 class UpdateLedger:
     """Tracks a reconciliation as single-component data updates arrive.
 
-    ``reconciled`` is frozen at creation; ``forecast`` mutates as updates
-    are applied.  ``valid`` stays true while every applied update moved its
-    component strictly toward the reconciled value, the regime in which
-    :func:`check_data_update` keeps ``reconciled`` unchanged.
+    ``reconciled`` is frozen at creation and must be the ``loss``
+    reconciliation (``"l2"``, the package default, or ``"l1"``) of
+    ``forecast`` as given; ``forecast`` then mutates as updates are applied.
+    ``valid`` stays true while every applied update passed
+    :func:`check_data_update`, the regime in which ``reconciled`` is kept.
+    ``tolerance`` is the loss excess the l2 rule allows,
+    ``L2_KEEP_TOL * (1 + kept loss)``, the kept loss being the squared
+    distance from ``reconciled`` to the forecast at creation.
     """
 
     reconciled: np.ndarray
     forecast: np.ndarray
     index_map: IndexMap | None = None
+    loss: str = "l2"
     records: list[UpdateRecord] = field(default_factory=list)
     valid: bool = True
     first_invalid: int | None = None
+    tolerance: float = field(init=False)
+    # The forecast at creation, and the squared distance from it to ``forecast``.
+    _start: np.ndarray = field(init=False, repr=False)
+    _moved: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self):
         self.reconciled = np.asarray(self.reconciled, dtype=float).copy()
         self.forecast = np.asarray(self.forecast, dtype=float).copy()
         if self.reconciled.shape != self.forecast.shape or self.reconciled.ndim != 1:
             raise BadParameter("ledger needs two equal-length vectors")
+        if self.loss not in LEDGER_LOSSES:
+            raise BadParameter(f"ledger loss must be one of {LEDGER_LOSSES}, got {self.loss!r}")
+        self._start = self.forecast.copy()
+        self.tolerance = L2_KEEP_TOL * (1.0 + float(np.sum((self.reconciled - self.forecast) ** 2)))
 
     def resolve(self, component) -> int:
         if isinstance(component, tuple):
@@ -202,27 +230,42 @@ class UpdateLedger:
             )
         return x
 
+    def _moved_after(self, x: int, value: float) -> float:
+        """Squared distance from the creation forecast once component x holds ``value``."""
+        start = self._start.item(x)
+        new, old = value - start, self.forecast.item(x) - start
+        return self._moved + new * new - old * old
+
 
 def check_data_update(ledger: UpdateLedger, component, new_value: float) -> UpdateVerdict:
-    """Constant-time test of whether one changed input forecast is benign.
+    """Constant-time test of whether one changed input forecast lets the
+    kept reconciliation stand; only the one component is read.
 
-    The verdict is ``still-optimal`` when the new value lies strictly
-    closer to the reconciled value than the current one does; ties and
-    moves away give ``needs-rereconcile``.  Only the single component is
-    inspected.
+    Under ``ledger.loss == "l1"`` the verdict is ``still-optimal`` when the
+    new value lies strictly closer to the reconciled value than the current
+    one does; ties and moves away give ``needs-rereconcile``.  The kept
+    vector then stays exactly optimal.
 
-    The verdict is exact for an l1 reconciliation.  For l2 it is not: after
-    a move of component x by delta, a fresh solve beats the kept vector by
-    delta^2 * P_xx in loss, P being the l2 projection (0 <= P_xx <= 1).
+    Under l2 (the default) the direction does not matter.  Once the
+    forecast has moved by a vector d from the one the ledger was created
+    with, a fresh solve beats the kept vector by exactly |P d|^2 <= |d|^2 in
+    loss, P being the l2 projection (one component moved by delta gives
+    delta^2 * P_xx, with 0 <= P_xx <= 1).  So the verdict is
+    ``still-optimal`` when |d|^2 after this update, the moves applied
+    before it (:func:`apply_monotone_sequence`) included, is at most
+    ``ledger.tolerance``: the kept vector then loses to a fresh solve by no
+    more than that.
     """
     x = ledger.resolve(component)
-    if not np.isfinite(new_value):
+    value = float(new_value)
+    if not math.isfinite(value):
         raise BadParameter("updated value must be finite")
-    kept = ledger.reconciled[x]
-    current = ledger.forecast[x]
-    if abs(kept - float(new_value)) < abs(kept - current):
-        return UpdateVerdict.STILL_OPTIMAL
-    return UpdateVerdict.NEEDS_RERECONCILE
+    if ledger.loss == "l2":
+        keep = ledger._moved_after(x, value) <= ledger.tolerance
+    else:
+        kept = ledger.reconciled.item(x)
+        keep = abs(kept - value) < abs(kept - ledger.forecast.item(x))
+    return UpdateVerdict.STILL_OPTIMAL if keep else UpdateVerdict.NEEDS_RERECONCILE
 
 
 def apply_monotone_sequence(ledger: UpdateLedger, updates) -> UpdateLedger:
@@ -230,15 +273,16 @@ def apply_monotone_sequence(ledger: UpdateLedger, updates) -> UpdateLedger:
 
     Every update is recorded and written into the tracked forecast (the
     data really did change), but validity survives only while each check
-    passes; the first failure index is kept for reporting.
+    passes; the first failure index is kept for reporting.  Under l2 each
+    check sees the forecast's whole move since the ledger was created.
     """
     for component, new_value in updates:
         x = ledger.resolve(component)
         verdict = check_data_update(ledger, x, new_value)
-        ledger.records.append(
-            UpdateRecord(x, float(ledger.forecast[x]), float(new_value), verdict)
-        )
-        ledger.forecast[x] = float(new_value)
+        value = float(new_value)
+        ledger.records.append(UpdateRecord(x, ledger.forecast.item(x), value, verdict))
+        ledger._moved = ledger._moved_after(x, value)
+        ledger.forecast[x] = value
         if verdict is UpdateVerdict.NEEDS_RERECONCILE and ledger.valid:
             ledger.valid = False
             ledger.first_invalid = len(ledger.records) - 1
@@ -335,10 +379,10 @@ def remove_edge(net: Network, y_tilde, edge) -> tuple[RemovalPlan, Network, Fore
     imap = net.index_map
     y = _as_component_vector(y_tilde, imap.n)
     if isinstance(edge, tuple) and len(edge) == 2 and not isinstance(edge[0], (int, np.integer)):
-        key = (str(edge[0]), str(edge[1]))
-        if key not in net.edge_index:
-            raise UnknownEdge(f"edge ({key[0]!r}, {key[1]!r}) does not exist")
-        e_star = net.edge_index[key]
+        tail, head = str(edge[0]), str(edge[1])
+        e_star = net.find_edge(tail, head)
+        if e_star is None:
+            raise UnknownEdge(f"edge ({tail!r}, {head!r}) does not exist")
     else:
         e_star = int(edge)
         if not 0 <= e_star < len(net.edges):
@@ -379,10 +423,9 @@ def remove_edge(net: Network, y_tilde, edge) -> tuple[RemovalPlan, Network, Fore
     new_routes: list[tuple[int, ...]] = []
     new_flows: list[float] = []
     for route, flow in mass.items():
-        # A surviving path equal to the route uses its first edge.
-        match = [j for j in net.paths_through("edge", route[0]) if net.paths[j] == route]
-        if match:
-            route_of_path[route] = match[0] - bisect(affected, match[0])
+        match = net.find_path(route)
+        if match is not None:
+            route_of_path[route] = match - bisect(affected, match)
             values[route_of_path[route]] += flow
         elif flow != 0.0:
             route_of_path[route] = n_kept + len(new_routes)

@@ -13,14 +13,15 @@ that linear map sparsely; multiplying it by a vector of path values produces
 the full coherent stack.  A network owns its operator (:attr:`Network.aggregation`):
 it is built once, array-at-a-time, and shared by every caller, so it is
 read-only.  Local edits (:meth:`Network._edit`) derive the edited network and
-its operator from the parent's instead of rebuilding either.
+its operator from the parent's arrays instead of rebuilding either, and an
+edited network builds its tuple and dict tables only when they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -104,10 +105,18 @@ class Network:
             ``intermediate``.  Nodes may be left untagged.
 
     The constructor is the only full build: it validates everything and
-    derives the lookup tables.  The aggregation operator is built on first
-    use and kept (:attr:`aggregation`).  Treat a network and its operator
-    as immutable: the operator is shared by every caller and by the
-    networks that edits derive from this one.
+    derives the lookup tables.  Every network keeps its paths as two flat
+    index arrays, each path's edges and each path's nodes (``_edge_cols``
+    and ``_node_cols``, in the layout of :func:`_columns`), which are the
+    columns of the operator's edge and node blocks.  :attr:`paths`,
+    :attr:`path_nodes`, :attr:`edge_index` and :attr:`index_map` (with the
+    path count) are cached views of them: the constructor sets
+    :attr:`paths` and :attr:`edge_index` from its input, and every other
+    view, on an edited network all four, is built on first read.  The
+    aggregation operator is built on first use and kept
+    (:attr:`aggregation`).  Treat a network and its operator as immutable:
+    the operator is shared by every caller and by the networks that edits
+    derive from this one.
 
     Raises:
         DuplicateId, DanglingEdge, BrokenPath, ValidationError.
@@ -185,7 +194,27 @@ class Network:
             dtype=np.intp,
             count=2 * len(self.edges),
         ).reshape(-1, 2)
-        self.path_nodes: tuple[tuple[int, ...], ...] = self._node_sequences(self.paths)
+        self._edge_cols = _columns(self.paths)
+        self._node_cols = self._node_columns(*self._edge_cols)
+
+    @cached_property
+    def paths(self) -> tuple[tuple[int, ...], ...]:
+        """Each path's edge indices, a view of ``_edge_cols`` built on first read."""
+        return _sequences(*self._edge_cols)
+
+    @cached_property
+    def path_nodes(self) -> tuple[tuple[int, ...], ...]:
+        """Each path's node indices, a view of ``_node_cols`` built on first read."""
+        return _sequences(*self._node_cols)
+
+    @cached_property
+    def edge_index(self) -> dict[tuple[str, str], int]:
+        """Edge index by (tail, head) name pair, built on first read."""
+        return {e: i for i, e in enumerate(self.edges)}
+
+    @cached_property
+    def index_map(self) -> IndexMap:
+        return IndexMap(len(self.nodes), len(self.edges), self._edge_cols[1].shape[0] - 1)
 
     @cached_property
     def aggregation(self) -> "FlowAggregationMatrix":
@@ -194,8 +223,8 @@ class Network:
         Shared by every caller (:meth:`FlowAggregationMatrix.from_network`
         returns it), so read-only.
         """
-        vp = _incidence(*_columns(self.path_nodes), len(self.nodes))
-        ep = _incidence(*_columns(self.paths), len(self.edges))
+        vp = _incidence(*self._node_cols, len(self.nodes))
+        ep = _incidence(*self._edge_cols, len(self.edges))
         return FlowAggregationMatrix(vp, ep, self.index_map)
 
     def _edit(
@@ -212,83 +241,88 @@ class Network:
         ``remove`` move down by one and ``add`` takes the last index.  The
         caller checks ``remove`` and ``add`` themselves; the new paths are
         validated here, by the same rules as in the constructor, and must
-        not repeat a path.  Node indices and the surviving paths' node
-        sequences are reused, and the operator is derived from this one's:
-        the surviving columns are kept, the removed edge's row (empty once
-        its paths are gone) is dropped, and columns for the new paths are
-        appended.  The Python work is one pass over the new paths, one
-        over the surviving paths (renumbering, duplicate check) and one
-        over the edges after ``remove``; the operator costs O(nnz)
-        vectorised work, with no per-entry Python loop.
+        not repeat a path (each is compared only with the paths through its
+        first edge).
+
+        Python work is spent only on the removed and new paths.  The rest is
+        vectorised O(nnz) work on the parent's arrays: the path tables are
+        the parent's flat arrays with the removed paths masked out, the
+        edge numbers shifted and the new paths appended, and each operator
+        block is cut from the parent's CSR arrays (:func:`_splice`), so
+        every index array equals a fresh build's bit for bit.  The edited
+        network shares the node tables; its :attr:`paths`,
+        :attr:`path_nodes` and :attr:`edge_index` are built only when read.
 
         Returns:
             the edited network, with :attr:`aggregation` already set.
         """
         parent = self.aggregation
-        m = len(self.edges)
-        keep = np.ones(len(self.paths), dtype=bool)
-        edges, paths, path_nodes = self.edges, self.paths, self.path_nodes
-        edge_index = dict(self.edge_index)
-        edge_ends = self._edge_ends
-        start = m
+        gone = self.paths_through("edge", remove) if remove is not None else ()
+        keep = None
+        if gone:
+            keep = np.ones(self.index_map.n_paths, dtype=bool)
+            keep[list(gone)] = False
+        edges, edge_ends = self.edges, self._edge_ends
         if remove is not None:
-            keep[list(self.paths_through("edge", remove))] = False
             edges = edges[:remove] + edges[remove + 1 :]
-            del edge_index[self.edges[remove]]
             edge_ends = np.delete(edge_ends, remove, axis=0)
-            shift = [*range(remove), -1, *range(remove, m - 1)].__getitem__
-            paths = tuple(tuple(map(shift, p)) for p in compress(paths, keep))
-            path_nodes = tuple(compress(path_nodes, keep))
-            start = remove
         if add is not None:
             edges = edges + (add,)
-            edge_ends = np.vstack([edge_ends, [self.node_index[v] for v in add]])
-        edge_index.update(zip(edges[start:], range(start, len(edges))))
+            ends = np.array([[self.node_index[add[0]], self.node_index[add[1]]]], dtype=np.intp)
+            edge_ends = np.concatenate([edge_ends, ends])
 
         net = Network.__new__(Network)
         net.nodes, net.edges, net.roles = self.nodes, edges, dict(self.roles)
-        net.node_index, net.edge_index, net._edge_ends = self.node_index, edge_index, edge_ends
-        existing = set(paths)
+        net.node_index, net._edge_ends = self.node_index, edge_ends
+        added = len(edges) - 1 if add is not None else None
+        seen = set()
         for i, p in enumerate(new_paths):
             net._validate_path(p, f"new path {i}")
-            if p in existing:
+            # A surviving path never uses ``remove``: map back to this
+            # network's numbering, unless ``p`` uses the new edge.
+            old = None if added in p else tuple(e + (remove is not None and e >= remove) for e in p)
+            if p in seen or (old is not None and self.find_path(old) is not None):
                 raise DuplicateId(f"new path {i} repeats a path of the network")
-            existing.add(p)
-        net.paths = paths + new_paths
-        new_nodes = net._node_sequences(new_paths)
-        net.path_nodes = path_nodes + new_nodes
+            seen.add(p)
 
-        columns = np.flatnonzero(keep)
-        vp = _extend(parent.vp, columns, None, len(net.nodes), *_columns(new_nodes))
-        ep = _extend(parent.ep, columns, remove, len(edges), *_columns(new_paths))
+        new_edges = _columns(new_paths)
+        new_nodes = net._node_columns(*new_edges)
+        net._edge_cols = _splice_columns(*self._edge_cols, keep, remove, *new_edges)
+        net._node_cols = _splice_columns(*self._node_cols, keep, None, *new_nodes)
+        vp_gone, ep_gone = _entries(*self._node_cols, gone), _entries(*self._edge_cols, gone)
+        vp = _splice(parent.vp, keep, vp_gone, None, len(net.nodes), *new_nodes)
+        ep = _splice(parent.ep, keep, ep_gone, remove, len(edges), *new_edges)
         net.aggregation = FlowAggregationMatrix(vp, ep, net.index_map)
         return net
 
-    def _node_sequences(self, paths) -> tuple[tuple[int, ...], ...]:
-        """Each path's node indices: its first edge's tail, then every edge's head.
+    def _node_columns(self, flat: np.ndarray, ptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The node sequences of the paths whose edges are ``flat``/``ptr``
+        (:func:`_columns` layout), in the same layout: each path's first
+        edge's tail, then every edge's head.
 
-        Read array-at-a-time from the edge end table over the flat edge
-        list of ``paths``, which must be valid.
+        Read array-at-a-time from the edge end table; the paths must be valid.
         """
-        flat, ptr = _columns(paths)
-        heads = self._edge_ends[flat, 1].tolist()
-        tails = self._edge_ends[flat[ptr[:-1]], 0].tolist()
-        bounds = ptr.tolist()
-        return tuple((t, *heads[a:b]) for t, a, b in zip(tails, bounds, bounds[1:]))
+        n_paths = ptr.shape[0] - 1
+        node_ptr = ptr + np.arange(n_paths + 1)
+        starts = node_ptr[:-1]
+        nodes = np.empty(node_ptr[-1], dtype=np.intp)
+        heads = np.ones(nodes.shape[0], dtype=bool)
+        heads[starts] = False
+        nodes[starts] = self._edge_ends[flat[ptr[:-1]], 0]
+        nodes[heads] = self._edge_ends[flat, 1]
+        return nodes, node_ptr
 
     # -- queries ---------------------------------------------------------------
 
-    @property
-    def index_map(self) -> IndexMap:
-        return IndexMap(len(self.nodes), len(self.edges), len(self.paths))
-
     def path_origin(self, j: int) -> int:
         """Node index where path ``j`` starts."""
-        return self.path_nodes[j][0]
+        flat, ptr = self._node_cols
+        return int(flat[ptr[j]])
 
     def path_destination(self, j: int) -> int:
         """Node index where path ``j`` ends."""
-        return self.path_nodes[j][-1]
+        flat, ptr = self._node_cols
+        return int(flat[ptr[j + 1] - 1])
 
     def paths_through(self, kind: str, index: int) -> tuple[int, ...]:
         """All path indices that traverse the given node or use the given edge.
@@ -310,13 +344,40 @@ class Network:
             raise UnknownIndex(f"{kind} index {index} out of range [0, {rows})")
         return tuple(block.indices[block.indptr[index] : block.indptr[index + 1]].tolist())
 
+    def find_path(self, path: tuple[int, ...]) -> int | None:
+        """Index of the path with edge sequence ``path``, or None.
+
+        Only the paths through its first edge (one row of the operator) are
+        compared, so :attr:`paths` is not built.
+        """
+        flat, ptr = self._edge_cols
+        want = list(path)
+        for j in self.paths_through("edge", path[0]):
+            if flat[ptr[j] : ptr[j + 1]].tolist() == want:
+                return j
+        return None
+
+    def find_edge(self, tail: str, head: str) -> int | None:
+        """Index of the edge from node ``tail`` to node ``head``, or None.
+
+        One vectorised pass over the edge end table, so an edited network
+        answers without building :attr:`edge_index`.
+        """
+        if tail not in self.node_index or head not in self.node_index:
+            return None
+        ends = self._edge_ends
+        hit = np.flatnonzero(
+            (ends[:, 0] == self.node_index[tail]) & (ends[:, 1] == self.node_index[head])
+        )
+        return int(hit[0]) if hit.shape[0] else None
+
     @cached_property
     def _out_edge_table(self) -> tuple[tuple[int, ...], ...]:
         """Row v holds the edge indices leaving node v, built on first use."""
-        outs: list[list[int]] = [[] for _ in self.nodes]
-        for i, (t, _) in enumerate(self.edges):
-            outs[self.node_index[t]].append(i)
-        return tuple(tuple(o) for o in outs)
+        tails = self._edge_ends[:, 0]
+        order = np.argsort(tails, kind="stable")
+        bounds = np.searchsorted(tails[order], np.arange(len(self.nodes) + 1))
+        return _sequences(order, bounds)
 
     def out_edges(self, node: int) -> tuple[int, ...]:
         """Edge indices leaving ``node``, in edge order."""
@@ -325,7 +386,7 @@ class Network:
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"Network(nodes={len(self.nodes)}, edges={len(self.edges)}, "
-            f"paths={len(self.paths)})"
+            f"paths={self.index_map.n_paths})"
         )
 
 
@@ -335,6 +396,19 @@ def _columns(seqs) -> tuple[np.ndarray, np.ndarray]:
     ptr = np.zeros(len(seqs) + 1, dtype=np.intp)
     np.cumsum(np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs)), out=ptr[1:])
     return np.fromiter(chain.from_iterable(seqs), dtype=np.intp, count=int(ptr[-1])), ptr
+
+
+def _sequences(flat: np.ndarray, ptr: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Inverse of :func:`_columns`: the sequences as tuples of ints."""
+    # One int object per distinct index, as in tables built from Python ints.
+    pool = list(range(int(flat.max(initial=-1)) + 1))
+    items, bounds = list(map(pool.__getitem__, flat.tolist())), ptr.tolist()
+    return tuple(tuple(items[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+def _entries(flat: np.ndarray, ptr: np.ndarray, seqs) -> np.ndarray:
+    """The entries of sequences ``seqs`` of ``flat``/``ptr``, end to end."""
+    return np.concatenate([flat[:0], *(flat[ptr[j] : ptr[j + 1]] for j in seqs)])
 
 
 def _incidence(rows: np.ndarray, ptr: np.ndarray, n_rows: int) -> sp.csr_matrix:
@@ -347,22 +421,83 @@ def _incidence(rows: np.ndarray, ptr: np.ndarray, n_rows: int) -> sp.csr_matrix:
     return sp.csc_matrix((data, rows, ptr), shape=(n_rows, ptr.shape[0] - 1)).tocsr()
 
 
-def _extend(
+def _splice_columns(
+    flat: np.ndarray,
+    ptr: np.ndarray,
+    keep: np.ndarray | None,
+    removed: int | None,
+    new_flat: np.ndarray,
+    new_ptr: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sequences ``flat``/``ptr`` where ``keep`` is true (all when it is
+    None), with every index above ``removed`` lowered by one, followed by
+    ``new_flat``/``new_ptr``."""
+    if keep is not None:
+        lengths = np.diff(ptr)
+        flat = flat[np.repeat(keep, lengths)]
+        ptr = np.zeros(int(np.count_nonzero(keep)) + 1, dtype=np.intp)
+        np.cumsum(lengths[keep], out=ptr[1:])
+    if removed is not None:
+        flat = flat - (flat > removed)
+    return np.concatenate([flat, new_flat]), np.concatenate([ptr, ptr[-1] + new_ptr[1:]])
+
+
+def _index_dtype(*sizes: int) -> type:
+    """The index dtype scipy gives a sparse matrix with these sizes (shape
+    and entry count): int32 while they fit, else int64.  Arrays handed over
+    in it pass the constructor without a scan of their contents."""
+    return np.int32 if max(sizes, default=0) <= np.iinfo(np.int32).max else np.int64
+
+
+def _splice(
     block: sp.csr_matrix,
-    columns: np.ndarray,
+    keep: np.ndarray | None,
+    dropped_rows: np.ndarray,
     removed_row: int | None,
     n_rows: int,
     new_rows: np.ndarray,
     new_ptr: np.ndarray,
 ) -> sp.csr_matrix:
-    """``block`` restricted to ``columns``, with the empty row ``removed_row``
-    dropped, and with the columns ``new_rows``/``new_ptr`` appended."""
-    kept = block.tocsc()[:, columns]
-    rows = kept.indices
+    """The 0/1 CSR ``block`` with the columns where ``keep`` is false dropped
+    (none when it is None) and the rest renumbered in order, the empty row
+    ``removed_row`` dropped, rows up to ``n_rows`` added, and the columns
+    ``new_rows``/``new_ptr`` appended.  ``dropped_rows`` lists the rows of
+    the dropped entries.
+
+    Cut straight from ``block``'s arrays, which it may share: the new
+    columns are numbered after every kept one, so their entries go at the
+    ends of their rows, and each row stays sorted.  The arrays equal what
+    :func:`_incidence` builds from the same columns, at one constructor call
+    and no format conversion.
+    """
+    indices, row_ptr = block.indices, block.indptr
+    n_cols = block.shape[1]
+    if keep is not None:
+        # A kept column moves down by the dropped columns before it, and a
+        # row's start by the dropped entries before it.
+        renumber = np.cumsum(keep, dtype=indices.dtype) - 1
+        indices = renumber[indices[keep[indices]]]
+        lost = np.zeros_like(row_ptr)
+        np.cumsum(np.bincount(dropped_rows, minlength=row_ptr.shape[0] - 1), out=lost[1:])
+        row_ptr = row_ptr - lost
+        n_cols = int(renumber[-1]) + 1
     if removed_row is not None:
-        rows = rows - (rows > removed_row)
-    ptr = np.concatenate([kept.indptr, kept.indptr[-1] + new_ptr[1:]])
-    return _incidence(np.concatenate([rows, new_rows]), ptr, n_rows)
+        row_ptr = np.concatenate([row_ptr[:removed_row], row_ptr[removed_row + 1 :]])
+    if n_rows + 1 > row_ptr.shape[0]:
+        pad = np.full(n_rows + 1 - row_ptr.shape[0], row_ptr[-1], dtype=row_ptr.dtype)
+        row_ptr = np.concatenate([row_ptr, pad])
+    if new_rows.shape[0]:
+        # New entries go in row order, each after its row's kept entries
+        # and the new entries before it.
+        order = np.argsort(new_rows, kind="stable")
+        rows = new_rows[order]
+        cols = n_cols + np.repeat(np.arange(new_ptr.shape[0] - 1), np.diff(new_ptr))
+        indices = np.insert(indices, row_ptr[rows + 1], cols[order])
+        row_ptr = row_ptr + np.searchsorted(rows, np.arange(n_rows + 1))
+        n_cols += new_ptr.shape[0] - 1
+    idx = _index_dtype(n_rows, n_cols, indices.shape[0])
+    indices, row_ptr = indices.astype(idx, copy=False), row_ptr.astype(idx, copy=False)
+    return sp.csr_matrix((np.ones(indices.shape[0]), indices, row_ptr), shape=(n_rows, n_cols))
 
 
 class FlowAggregationMatrix:
@@ -389,8 +524,22 @@ class FlowAggregationMatrix:
         self.vp = vp
         self.ep = ep
         self.index_map = index_map
-        eye = sp.identity(index_map.n_paths, format="csr")
-        self.matrix = sp.vstack([vp, ep, eye], format="csr")
+        # The stack's arrays are the blocks' arrays end to end; the identity
+        # block holds one entry per row.
+        n_paths, n_vp, n_ep = index_map.n_paths, int(vp.indptr[-1]), int(ep.indptr[-1])
+        idx = _index_dtype(index_map.n, n_vp + n_ep + n_paths)
+        indptr = np.concatenate(
+            [
+                vp.indptr,
+                np.add(ep.indptr[1:], n_vp, dtype=idx),
+                np.arange(n_vp + n_ep + 1, n_vp + n_ep + n_paths + 1, dtype=idx),
+            ],
+            dtype=idx,
+        )
+        indices = np.concatenate([vp.indices, ep.indices, np.arange(n_paths)], dtype=idx)
+        self.matrix = sp.csr_matrix(
+            (np.ones(indices.shape[0]), indices, indptr), shape=(index_map.n, n_paths)
+        )
 
     @classmethod
     def from_network(cls, net: Network) -> "FlowAggregationMatrix":

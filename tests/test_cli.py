@@ -567,10 +567,25 @@ class TestCheckUpdateCli:
         rc = main(
             ["update", "check-update", "--network", net_path, "--reconciled", rec_path,
              "--forecast", fc_path, "--kind", "node", "--id", "a",
-             "--value", repr(halfway)]
+             "--value", repr(halfway), "--loss", "l1"]
         )
         assert rc == 0
         assert capsys.readouterr().out.strip() == "still-optimal"
+
+    def test_l2_rule_is_the_default(self, staged, capsys):
+        # Halfway toward the kept value is beaten by a fresh l2 solve; a
+        # move whose square is far below 1e-9 is not.
+        net_path, fc_path, rec_path, rec = staged
+        base, kept = CHAIN_BASE[1], rec[1]
+        args = ["update", "check-update", "--network", net_path, "--reconciled", rec_path,
+                "--forecast", fc_path, "--kind", "node", "--id", "a", "--value"]
+        for value, verdict in ((base + 0.5 * (kept - base), "needs-rereconcile"),
+                               (base + 1e-6, "still-optimal")):
+            assert main(args + [repr(float(value))]) == 0
+            assert capsys.readouterr().out.strip() == verdict
+        with pytest.raises(SystemExit) as exc:
+            main(args + [repr(float(base + 1e-6)), "--loss", "huber"])
+        assert exc.value.code == 2
 
     def test_move_away_needs_a_rereconcile(self, staged, capsys):
         net_path, fc_path, rec_path, rec = staged

@@ -177,6 +177,19 @@ class TestAddEdge:
         with pytest.raises(ValidationError):
             add_edge_update(fan_net, bad, ("x", "t"), 9.0, FAN_NEW_PATHS)
 
+    def test_refused_calls_do_no_edit_work(self, fan_net, fan_vector, monkeypatch):
+        def edit(*args, **kwargs):
+            raise AssertionError("edited before validating")
+
+        monkeypatch.setattr(Network, "_edit", edit)
+        bad = fan_vector.copy()
+        bad[0] += 1.0
+        with pytest.raises(ValidationError):
+            add_edge_update(fan_net, bad, ("x", "t"), 9.0, FAN_NEW_PATHS)
+        for init in ([1.0], [1.0, np.nan, 1.0]):
+            with pytest.raises(BadParameter):
+                add_edge_update(fan_net, fan_vector, ("x", "t"), 9.0, FAN_NEW_PATHS, init)
+
     def test_nonfinite_forecast_rejected(self, fan_net, fan_vector):
         with pytest.raises(BadParameter):
             add_edge_update(fan_net, fan_vector, ("x", "t"), np.nan, FAN_NEW_PATHS)
@@ -194,7 +207,10 @@ class TestAddEdge:
 
 
 def toy_ledger():
-    return UpdateLedger(reconciled=np.array([10.0, 6.0]), forecast=np.array([8.0, 6.0]))
+    """An l1 ledger: its verdict follows the direction of each move."""
+    return UpdateLedger(
+        reconciled=np.array([10.0, 6.0]), forecast=np.array([8.0, 6.0]), loss="l1"
+    )
 
 
 class TestDataUpdates:
@@ -283,6 +299,67 @@ class TestDataUpdates:
     def test_ledger_shape_mismatch_rejected(self):
         with pytest.raises(BadParameter):
             UpdateLedger(reconciled=np.zeros(3), forecast=np.zeros(4))
+
+    def test_unknown_ledger_loss_rejected(self):
+        with pytest.raises(BadParameter):
+            UpdateLedger(reconciled=np.zeros(3), forecast=np.zeros(3), loss="huber")
+
+    def test_every_l2_keep_verdict_holds_against_a_fresh_solve(self):
+        kept = 0
+        for seed in range(4):
+            inst = random_instance(nodes=12, seed=300 + seed)
+            base = inst.y_base.data
+            rec = reconcile_l2(base, inst.agg).y_tilde.data
+            ledger = UpdateLedger(rec, base, index_map=inst.agg.index_map)
+            assert ledger.loss == "l2"
+            gap = rec - base
+            paths = inst.agg.index_map.path_slice
+            worst = paths.start + int(np.argmax(np.abs(gap[paths])))
+            halfway = (worst, float(base[worst] + 0.5 * gap[worst]))
+            rng = np.random.default_rng(seed)
+            probes = [halfway]
+            for x in rng.choice(base.shape[0], size=12, replace=False).tolist():
+                for factor in (-1e-3, 1e-6, 1e-5, 1e-4, 0.5, 2.0):
+                    probes.append((x, float(base[x] + factor * gap[x])))
+            for x, value in probes:
+                verdict = check_data_update(ledger, x, value)
+                moved = base.copy()
+                moved[x] = value
+                retained = float(np.sum((rec - moved) ** 2))
+                excess = retained - reconcile_l2(moved, inst.agg).loss_value
+                if verdict is UpdateVerdict.STILL_OPTIMAL:
+                    kept += 1
+                    assert excess <= ledger.tolerance, (seed, x, value)
+                if (x, value) == halfway:
+                    # A fresh solve beats the kept vector here, though the
+                    # move is toward it: the l1 rule would keep it.
+                    assert verdict is UpdateVerdict.NEEDS_RERECONCILE
+                    assert excess > ledger.tolerance
+                    l1 = UpdateLedger(rec, base, loss="l1")
+                    assert check_data_update(l1, x, value) is UpdateVerdict.STILL_OPTIMAL
+        assert kept >= 20  # the rule must keep something to be tested
+
+    def test_l2_moves_add_up_over_a_sequence(self):
+        inst = random_instance(nodes=12, seed=310)
+        base = inst.y_base.data
+        rec = reconcile_l2(base, inst.agg).y_tilde.data
+        ledger = UpdateLedger(rec, base)
+        step = float(np.sqrt(0.3 * ledger.tolerance))
+        xs = [0, 3, 5, 7, 9]
+        # Component 0 moves out and back: its net move is zero.
+        updates = [(0, base[0] + step), (0, float(base[0]))]
+        updates += [(x, float(base[x] + step)) for x in xs[1:]]
+        apply_monotone_sequence(ledger, updates)
+        verdicts = [r.verdict for r in ledger.records]
+        keep, rerun = UpdateVerdict.STILL_OPTIMAL, UpdateVerdict.NEEDS_RERECONCILE
+        # Squared moves 0.3, 0, 0.3, 0.6, 0.9, 1.2 times the tolerance.
+        assert verdicts == [keep, keep, keep, keep, keep, rerun]
+        assert ledger.first_invalid == 5
+        moved = base.copy()
+        for x, value in updates[:5]:
+            moved[x] = value
+        retained = float(np.sum((rec - moved) ** 2))
+        assert retained - reconcile_l2(moved, inst.agg).loss_value <= ledger.tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -438,25 +515,35 @@ def incidence_tables(net):
     return [tuple(p) for p in node_paths], [tuple(p) for p in edge_paths]
 
 
+VIEWS = ("paths", "path_nodes", "edge_index")
+
+
 def assert_equals_rebuild(net, edges, paths):
-    """``net`` carries ``edges`` and ``paths`` and equals a from-scratch build."""
+    """``net``, fresh from an edit, carries ``edges`` and ``paths`` and equals
+    a from-scratch build."""
+    # The edit built none of the views; the path count comes from the arrays.
+    assert not set(VIEWS) & vars(net).keys()
+    index_map = net.index_map
     fresh = Network(net.nodes, edges, paths, net.roles)
     agg, ref = FlowAggregationMatrix.from_network(net), FlowAggregationMatrix.from_network(fresh)
     assert FlowAggregationMatrix.from_network(net) is agg
     assert net.aggregation is agg
+    assert index_map == fresh.index_map == agg.index_map == ref.index_map
     assert net.nodes == fresh.nodes and net.roles == fresh.roles
     assert net.edges == fresh.edges
+    assert net._edge_ends.dtype == fresh._edge_ends.dtype
+    assert np.array_equal(net._edge_ends, fresh._edge_ends)
     assert net.paths == fresh.paths
     assert net.path_nodes == fresh.path_nodes
     assert net.node_index == fresh.node_index
     assert net.edge_index == fresh.edge_index
-    assert agg.index_map == ref.index_map == net.index_map
-    for name in ("vp", "ep", "matrix"):
+    for name in ("vp", "ep", "matrix", "matrix_t"):
         got, want = getattr(agg, name), getattr(ref, name)
         assert got.format == want.format == "csr"
         assert got.shape == want.shape
         for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, part), getattr(want, part)), (name, part)
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (name, part)
     node_paths, edge_paths = incidence_tables(fresh)
     assert [net.paths_through("node", v) for v in range(len(net.nodes))] == node_paths
     assert [net.paths_through("edge", e) for e in range(len(net.edges))] == edge_paths
@@ -543,6 +630,37 @@ class TestEditEqualsRebuild:
             net1, y1 = remove_one(net, y, rng)
             net2, y2 = add_one(net1, y1, rng)
             remove_one(net2, y2, rng)
+
+    def test_alternating_chain_on_the_layered_network(self):
+        # Each edit starts from the last one's network: 12 steps, every one
+        # equal to a fresh build.
+        net = layered_network(3)
+        rng = np.random.default_rng(3)
+        y = net.aggregation.aggregate(rng.uniform(5.0, 15.0, net.index_map.n_paths))
+        for step in range(12):
+            edit = remove_one if step % 2 == 0 else add_one
+            net, y = edit(net, y, rng)
+            assert check_coherence(y, net.aggregation).coherent
+
+    def test_removal_on_an_edited_network_whose_tables_were_never_read(self):
+        net = layered_network(4)
+        rng = np.random.default_rng(4)
+        y = net.aggregation.aggregate(rng.uniform(5.0, 15.0, net.index_map.n_paths))
+        edge, routes = shortcut(net, rng)
+        added = add_edge_update(net, y, edge, 10.0, routes)
+        net1, y1 = added.network, added.y_tilde.data
+        for e in rng.permutation(len(net1.edges)).tolist():
+            if not net1.paths_through("edge", e):
+                continue
+            try:
+                plan, net2, _ = remove_edge(net1, y1, e)
+            except Disconnected:
+                continue
+            break
+        # Neither the removal nor its parent's edit read a view of net1.
+        assert not set(VIEWS) & vars(net1).keys()
+        edges, paths = removal_reference(net1, plan, y1)
+        assert_equals_rebuild(net2, edges, paths)
 
     def test_removal_with_no_affected_path(self, distribution_net):
         y = FlowAggregationMatrix.from_network(distribution_net).aggregate(np.arange(1.0, 8.0))

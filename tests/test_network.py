@@ -174,3 +174,22 @@ class TestPathsThrough:
             chain_net.paths_through("edge", 5)
         with pytest.raises(UnknownIndex):
             chain_net.paths_through("path", 0)
+
+
+class TestLookups:
+    def test_edges_paths_and_out_edges_match_a_scan(self):
+        # Each table is read off the index arrays; a loop over the Python
+        # tuples is the reference.
+        for seed, nodes, density in ((1, 5, 0.0), (2, 12, 0.2), (3, 30, 0.5)):
+            net = random_instance(nodes=nodes, seed=seed, density=density).network
+            for v in range(len(net.nodes)):
+                scan = tuple(i for i, (t, _) in enumerate(net.edges) if net.node_index[t] == v)
+                assert net.out_edges(v) == scan
+                assert all(type(e) is int for e in net.out_edges(v))
+            for i, (t, h) in enumerate(net.edges):
+                assert net.find_edge(t, h) == i
+                assert net.find_edge(h, t) == net.edge_index.get((h, t))
+            for j, path in enumerate(net.paths):
+                assert net.find_path(path) == j
+                assert net.find_path(path + path) is None
+        assert Network(["s", "t"], [("s", "t")], []).find_edge("s", "x") is None
