@@ -9,9 +9,10 @@ for the loss.
 * l2 without a box: conjugate gradient on the normal equations over path
   values, applied through S and never formed, to :data:`L2_TOL`; a panel
   is one block CG over a shared Krylov space.
-* l1: one linear program on HiGHS.
+* l1: one linear program on HiGHS, one row per node and edge.
 * Huber, custom losses, l2 under a box and the relaxed loss: one damped
-  semismooth Newton kernel, given the loss's (f, f', c) triple.
+  semismooth Newton kernel, given the loss's (f, f', c) triple and
+  started from the plain l2 answer.
 
 :func:`reconcile_l2`, :func:`reconcile_l1` and
 :func:`flowrec.relaxed.reconcile_relaxed` are one-line calls into it, and
@@ -379,33 +380,35 @@ def _l1_solve(y: np.ndarray, agg: FlowAggregationMatrix, w: np.ndarray, box, t0:
     """Minimise sum_i w_i |(S b - y)_i| as one linear program.
 
     The adjustment of each component is split into its positive and
-    negative parts p_i, q_i >= 0, one equality row per component:
-    ``S b - p + q = y`` over the variables ``[b; p; q]``, with b free
-    and cost ``w`` on both p and q, so at an optimum at most one of each
-    positively weighted pair is nonzero.  A box [l, u] on S b becomes bounds on the split
-    parts, p in [max(l - y, 0), max(u - y, 0)] and q in
-    [max(y - u, 0), max(y - l, 0)]: every z = S b in [l, u] is
-    reached with p = (z - y)^+, q = (y - z)^+, and every (p, q) in
-    those bounds gives a z in [l, u].  So a box adds no row.  HiGHS solves
-    the LP, and the strong-duality gap that :func:`solve_lp` recomputes
-    from the returned duals is carried in ``stats.duality_gap``.
+    negative parts p_i, q_i >= 0, with cost ``w`` on both, so at an optimum
+    at most one of each positively weighted pair is nonzero.  S stacks the
+    node and edge rows M over an identity on the paths, so the path rows
+    of S b - p + q = y fix b = y_P + p_P - q_P; substituting it leaves one
+    equality row per node and edge, M (p_P - q_P) - p_NE + q_NE =
+    y_NE - M y_P, over the 2n variables ``[p; q]``.  A box [l, u] on S b
+    becomes bounds on the split parts, p in [max(l - y, 0), max(u - y, 0)]
+    and q in [max(y - u, 0), max(y - l, 0)]: every z = S b in [l, u] is
+    reached with p = (z - y)^+, q = (y - z)^+, and every (p, q) in those
+    bounds gives a z in [l, u].  So a box adds no row.  HiGHS solves the
+    LP, and the strong-duality gap that :func:`solve_lp` recomputes from
+    the returned duals is carried in ``stats.duality_gap``.
     """
     n = agg.n
-    np_ = agg.n_paths
+    path = agg.index_map.path_slice
+    k = n - agg.n_paths
     if box is None:
         box = BoxConstraints.unbounded(n)
-    eye = sp.identity(n, format="csr")
-    a_eq = sp.hstack([agg.matrix, -eye, eye], format="csr")
-    cost = np.concatenate([np.zeros(np_), w, w])
-    lower = np.concatenate(
-        [np.full(np_, -np.inf), np.maximum(box.lower - y, 0.0), np.maximum(y - box.upper, 0.0)]
-    )
-    upper = np.concatenate(
-        [np.full(np_, np.inf), np.maximum(box.upper - y, 0.0), np.maximum(y - box.lower, 0.0)]
-    )
-    sol = solve_lp(cost, a_eq, y, lower, upper)
+    m = agg.matrix[:k]
+    eye = sp.identity(k, format="csr")
+    a_eq = sp.hstack([-eye, m, eye, -m], format="csr")
+    rhs = y[:k] - m @ y[path]
+    cost = np.concatenate([w, w])
+    lower = np.concatenate([np.maximum(box.lower - y, 0.0), np.maximum(y - box.upper, 0.0)])
+    upper = np.concatenate([np.maximum(box.upper - y, 0.0), np.maximum(y - box.lower, 0.0)])
+    sol = solve_lp(cost, a_eq, rhs, lower, upper)
     wall = time.perf_counter() - t0
-    return sol.x[:np_], SolverStats("l1", sol.iterations, wall, duality_gap=sol.duality_gap)
+    b = y[path] + sol.x[k:n] - sol.x[n + k :]
+    return b, SolverStats("l1", sol.iterations, wall, duality_gap=sol.duality_gap)
 
 
 def _smooth_parts(loss: LossSpec, w: np.ndarray, imap):
@@ -486,7 +489,8 @@ def _minimize_path_loss(y, agg: FlowAggregationMatrix, w, parts, b0, bounds, tol
 
 def _solve_column(yhat, y, agg: FlowAggregationMatrix, loss, box, bounds):
     """The result of one column off the l2 normal equations: the LP for l1,
-    the Newton kernel, from the base path values, for every other loss."""
+    the Newton kernel, from the column's plain l2 answer, for every other
+    loss."""
     t0 = time.perf_counter()
     w = loss.resolved_weights(agg.n)
     if loss.kind == "l1":
@@ -495,7 +499,10 @@ def _solve_column(yhat, y, agg: FlowAggregationMatrix, loss, box, bounds):
     imap = agg.index_map
     parts = _smooth_parts(loss, w, imap)
     tol = RELAXED_TOL if loss.kind == "relaxed" else NEWTON_TOL
-    res = _minimize_path_loss(y, agg, w, parts, y[imap.path_slice], bounds, tol)
+    # S^T S >= I, so the unweighted l2 start exists whatever the weights;
+    # the kernel projects it onto a path box.
+    b0, _ = _l2_solve(y, agg, LossSpec("l2"), t0)
+    res = _minimize_path_loss(y, agg, w, parts, b0, bounds, tol)
     method = f"relaxed:{loss.epsilon}" if loss.kind == "relaxed" else f"general:{loss.kind}"
     stats = SolverStats(
         method, res.iterations, time.perf_counter() - t0, gradient_norm=res.gradient_norm
@@ -529,8 +536,9 @@ def reconcile_general(
     on the Newton kernel, :func:`minimize_smooth_convex`, with generalised
     Hessian S^T diag(c) S: c = 2w for l2, w [|r_i| <= delta] for Huber, the
     IRLS weights w f'(|r_i|) / |r_i| for a custom loss and 2 off the
-    in-band edges for the relaxed one.  Newton starts from the base path
-    values, takes at most 200 steps, and stops once the gradient norm, or
+    in-band edges for the relaxed one.  Newton starts from the column's
+    unweighted l2 answer (one CG solve, projected onto a path box), takes
+    at most 200 steps, and stops once the gradient norm, or
     under a box the projected-gradient norm, is at most
     :data:`NEWTON_TOL` (:data:`RELAXED_TOL` for relaxed) times
     (1 + objective).  Its box acts on path components only, by projected

@@ -26,6 +26,7 @@ from flowrec import (
     reconcile_relaxed,
     reconcile_weighted,
 )
+from flowrec.benchmark import GeneratorConfig, density_for_edge_target, generate_instance
 from flowrec.numerics import SparseSpd, solve_lp
 
 from conftest import coherent_distribution_vector, random_instance
@@ -33,7 +34,7 @@ from conftest import coherent_distribution_vector, random_instance
 
 def newton_from(yhat, agg, loss, start):
     """The Newton kernel of a smooth ``loss`` run from path values ``start``;
-    the dispatch always starts it from the base path values."""
+    the dispatch always starts it from the plain l2 answer."""
     w = loss.resolved_weights(agg.n)
     parts = flowrec.reconcile._smooth_parts(loss, w, agg.index_map)
     return flowrec.reconcile._minimize_path_loss(
@@ -345,7 +346,46 @@ class TestAbsoluteDeviation:
         monkeypatch.setattr(flowrec.reconcile, "solve_lp", spy)
         truth = inst.y_true.data
         reconcile_l1(inst.y_base.data, inst.agg, box=BoxConstraints(truth - 0.5, truth + 0.5))
-        assert shapes == [(n, k + 2 * n)]
+        # One row per node and edge (the path rows fix b), 2n split parts.
+        assert shapes == [(n - k, 2 * n)]
+
+    @pytest.mark.parametrize("boxed", [False, True], ids=["free", "boxed"])
+    def test_matches_the_full_split_form_lp_on_small_instances(self, boxed):
+        # The reference keeps every row of S b - p + q = yhat over [b; p; q]
+        # and states a box as rows on S b, not as bounds on p and q.
+        binding = 0
+        for seed in range(555000, 555020):
+            inst = generate_instance(GeneratorConfig(nodes=30, density=0.2, seed=seed), 0)
+            agg, y, truth = inst.agg, inst.y_base.data, inst.y_true.data
+            s = agg.matrix
+            n, k = s.shape
+            box = BoxConstraints(truth - 0.5, truth + 0.5) if boxed else None
+            rows = {}
+            if boxed:
+                zeros = sp.csr_matrix((n, 2 * n))
+                rows = dict(
+                    A_ub=sp.bmat([[s, zeros], [-s, zeros]], format="csr"),
+                    b_ub=np.concatenate([box.upper, -box.lower]),
+                )
+            eye = sp.identity(n, format="csr")
+            ref = linprog(
+                np.concatenate([np.zeros(k), np.ones(2 * n)]),
+                A_eq=sp.hstack([s, -eye, eye], format="csr"),
+                b_eq=y,
+                bounds=[(None, None)] * k + [(0, None)] * (2 * n),
+                method="highs",
+                **rows,
+            )
+            assert ref.status == 0, ref.message
+            result = reconcile_l1(y, agg, box=box)
+            lifted = s @ result.b_tilde
+            assert result.loss_value == pytest.approx(ref.fun, rel=1e-12, abs=0.0), seed
+            assert float(np.abs(lifted - y).sum()) == pytest.approx(ref.fun, rel=1e-12, abs=0.0)
+            assert result.stats.duality_gap <= 1e-7
+            if boxed:
+                assert np.all(lifted <= box.upper + 1e-9) and np.all(lifted >= box.lower - 1e-9)
+                binding += ref.fun > reconcile_l1(y, agg).loss_value * (1.0 + 1e-9)
+        assert not boxed or binding >= 10  # the boxes must bite
 
     def test_huge_finite_forecast_is_a_bad_parameter(self, chain_agg):
         # HiGHS reads 1e20 as infinite and reports a model error.  With no
@@ -477,7 +517,7 @@ class TestGeneralLoss:
         # Starting 50 above every base path value puts every residual beyond
         # delta, so the quadratic-zone Hessian S^T diag(w [|r| <= delta]) S
         # is zero at the start; the run must still meet criterion 3's
-        # certificate and land where the base-value start does.
+        # certificate and reach the loss of the dispatch's l2 start.
         inst = random_instance(nodes=12, seed=63)
         loss = LossSpec(kind="huber", delta=1.0)
         imap = inst.agg.index_map
@@ -490,6 +530,28 @@ class TestGeneralLoss:
         grad = inst.agg.matrix.T @ np.clip(r, -loss.delta, loss.delta)
         assert float(np.linalg.norm(grad)) <= 1e-8 * (1.0 + far.value)
         assert far.value == pytest.approx(near.loss_value, rel=1e-9)
+
+    @pytest.mark.parametrize("delta", [1.0, 0.1])
+    def test_huber_meets_its_certificate_on_small_instances(self, delta):
+        loss = LossSpec(kind="huber", delta=delta)
+        for seed in range(555000, 555020):
+            inst = generate_instance(GeneratorConfig(nodes=30, density=0.2, seed=seed), 0)
+            result = reconcile_general(inst.y_base.data, inst.agg, loss)
+            r = inst.agg.matrix @ result.b_tilde - inst.y_base.data
+            grad = inst.agg.matrix.T @ np.clip(r, -delta, delta)
+            assert float(np.linalg.norm(grad)) <= 1e-8 * (1.0 + result.loss_value), seed
+
+    def test_huber_small_delta_converges_at_1000_nodes(self):
+        # From the base path values this ran out of its 200 Newton steps
+        # (stationarity norm 6.6e-2 against a target of 9.4e-6).  A still
+        # smaller delta, 0.03, fails at this size from either start.
+        base = GeneratorConfig(nodes=1000, seed=4000)
+        cfg = GeneratorConfig(
+            nodes=1000, seed=4000, density=density_for_edge_target(base, 3000)
+        )
+        inst = generate_instance(cfg, 0)
+        result = reconcile_general(inst.y_base.data, inst.agg, LossSpec("huber", delta=0.1))
+        assert result.stats.gradient_norm <= 1e-8 * (1.0 + result.loss_value)
 
     def test_two_starts_reach_the_same_optimum(self, parallel_agg):
         yhat = np.array([10.0, 2.0, 6.0, 7.0, 3.0, 1.0, 5.0, 6.0, 2.0, 4.0])
@@ -717,6 +779,18 @@ class TestPackagedResults:
             assert res.coherence.max_edge_residual == report.max_edge_residual, method
             assert np.array_equal(res.coherence.node_residuals, report.node_residuals), method
             assert np.array_equal(res.coherence.edge_residuals, report.edge_residuals), method
+
+    def test_newton_panels_give_each_column_its_one_column_loss(self):
+        inst = generate_instance(GeneratorConfig(nodes=30, density=0.2, seed=555000), 0)
+        agg, y = inst.agg, inst.y_base.data
+        rng = np.random.default_rng(5)
+        panel = y[:, None] + rng.normal(0.0, 1.0, (agg.n, 5))
+        for loss, tol in ((LossSpec("huber", delta=1.0), flowrec.reconcile.NEWTON_TOL),
+                          (LossSpec("relaxed", epsilon=0.01), flowrec.reconcile.RELAXED_TOL)):
+            for k, res in enumerate(reconcile_general(panel, agg, loss)):
+                single = reconcile_general(panel[:, k].copy(), agg, loss)
+                assert res.loss_value == pytest.approx(single.loss_value, rel=1e-10), (loss.kind, k)
+                assert res.stats.gradient_norm <= tol * (1.0 + res.loss_value), (loss.kind, k)
 
     @pytest.mark.parametrize(
         "loss",
