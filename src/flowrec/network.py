@@ -25,6 +25,7 @@ from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import (
     BrokenPath,
@@ -501,7 +502,15 @@ def _splice(
 
 
 class FlowAggregationMatrix:
-    """Sparse map from path values to the full [nodes; edges; paths] stack.
+    """Sparse map S from path values to the full [nodes; edges; paths] stack.
+
+    S = [M; I] stacks the node/edge block M = [vp; ep] over an identity on
+    the paths.  Every product with S that the solvers take goes through
+    :meth:`lift` (S b), :meth:`restrict` (S^T u) and :meth:`normal`
+    (S^T diag(c) S v).  Each calls scipy's compiled CSR kernel,
+    the routine that ``@`` itself ends in, on M or on the cached M^T, and
+    applies the identity block exactly, so a result carries the same bits
+    as the ``@`` expression on ``matrix`` and its transpose.
 
     A network owns its operator: :meth:`from_network` returns the network's
     :attr:`Network.aggregation`, so every caller shares one object.
@@ -514,9 +523,10 @@ class FlowAggregationMatrix:
             uses edge e.
         matrix: CSR stack [vp; ep; I], shape (n, n_paths).  Full column rank
             by construction thanks to the identity block.
-        matrix_t: CSR copy of ``matrix.T``, built on first use and kept:
-            a product with it is faster than with the CSC view
-            ``matrix.T``, and the copy costs about ten products.
+        node_edge: CSR matrix M = [vp; ep], shape (n_nodes + n_edges,
+            n_paths), the rows of ``matrix`` above the identity; it shares
+            their arrays.
+        node_edge_t: CSR copy of M^T, built on first use and kept.
         index_map: the component layout this matrix aggregates into.
     """
 
@@ -540,6 +550,11 @@ class FlowAggregationMatrix:
         self.matrix = sp.csr_matrix(
             (np.ones(indices.shape[0]), indices, indptr), shape=(index_map.n, n_paths)
         )
+        k, nnz = index_map.n_nodes + index_map.n_edges, n_vp + n_ep
+        m = self.matrix
+        self.node_edge = sp.csr_matrix(
+            (m.data[:nnz], m.indices[:nnz], m.indptr[: k + 1]), shape=(k, n_paths)
+        )
 
     @classmethod
     def from_network(cls, net: Network) -> "FlowAggregationMatrix":
@@ -547,10 +562,12 @@ class FlowAggregationMatrix:
         return net.aggregation
 
     @cached_property
-    def matrix_t(self) -> sp.csr_matrix:
+    def node_edge_t(self) -> sp.csr_matrix:
         # Lazy: callers that build an operator only to edit or check it
-        # never pay for the copy.
-        return self.matrix.T.tocsr()
+        # never pay for the copy.  Row j lists path j's nodes and edges in
+        # increasing row order, as row j of matrix.T.tocsr() does before
+        # its identity entry.
+        return self.node_edge.T.tocsr()
 
     @property
     def n(self) -> int:
@@ -560,6 +577,49 @@ class FlowAggregationMatrix:
     def n_paths(self) -> int:
         return self.index_map.n_paths
 
+    def lift(self, b: np.ndarray) -> np.ndarray:
+        """S b = [M b; b] for path values b of shape (n_paths,) or (n_paths, h).
+
+        The identity rows give b + 0.0, as the kernel's 0.0 + 1.0 * b does.
+        """
+        b = np.ascontiguousarray(b, dtype=float)
+        m = self.node_edge
+        k = m.shape[0]
+        out = np.zeros((self.index_map.n,) + b.shape[1:])
+        _accumulate(m, b, out[:k])
+        out[k:] += b
+        return out
+
+    def restrict(self, u: np.ndarray) -> np.ndarray:
+        """S^T u = M^T u_NE + u_P for u of shape (n,) or (n, h)."""
+        u = np.ascontiguousarray(u, dtype=float)
+        mt = self.node_edge_t
+        n_paths, k = mt.shape
+        out = np.zeros((n_paths,) + u.shape[1:])
+        _accumulate(mt, u[:k], out)
+        out += u[k:]
+        return out
+
+    def normal(self, v: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
+        """S^T diag(c) S v for v of shape (n_paths,) or (n_paths, h) and c
+        of shape (n,), or S^T S v when c is None.
+
+        Taken as M^T (c_NE * M v) + c_P * v: the additions of
+        ``st @ (c * (s @ v))``, st the CSR copy of S^T, in their order.
+        """
+        v = np.ascontiguousarray(v, dtype=float)
+        m = self.node_edge
+        k = m.shape[0]
+        t = np.zeros((k,) + v.shape[1:])
+        _accumulate(m, v, t)
+        if c is not None:
+            c = c if v.ndim == 1 else c[:, None]
+            t *= c[:k]
+        out = np.zeros(v.shape)
+        _accumulate(self.node_edge_t, t, out)
+        out += v if c is None else c[k:] * v
+        return out
+
     def aggregate(self, path_values: np.ndarray) -> np.ndarray:
         """Lift a vector of path values to the full coherent stack."""
         b = np.asarray(path_values, dtype=float)
@@ -567,4 +627,21 @@ class FlowAggregationMatrix:
             raise DimensionMismatch(
                 f"expected {self.index_map.n_paths} path values, got shape {b.shape}"
             )
-        return self.matrix @ b
+        return self.lift(b)
+
+
+def _accumulate(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> None:
+    """out += a @ x by scipy's compiled CSR kernel (``csr_matvec`` for a
+    vector, ``csr_matvecs`` for a block), the routine ``a @ x`` ends in,
+    without the dispatch around it.
+
+    ``x`` and ``out`` are C-contiguous float arrays; ``out`` is written in
+    place, so it must be one (a view included), not a copy.
+    """
+    rows, cols = a.shape
+    if x.ndim == 1:
+        _sparsetools.csr_matvec(rows, cols, a.indptr, a.indices, a.data, x, out)
+    else:
+        _sparsetools.csr_matvecs(
+            rows, cols, x.shape[1], a.indptr, a.indices, a.data, x.ravel(), out.ravel()
+        )

@@ -5,10 +5,12 @@ numerics itself:
 
 * :func:`solve_spd_with_info`, a conjugate-gradient solve for symmetric
   positive definite systems that sees the system only through a matrix-
-  vector product.  The reconcilers hand it a closure over the aggregation
-  blocks, so the normal-equation matrix and the generalised Hessians are
-  applied, never formed.  Their eigenvalues sit at or above the weight of
-  the identity block, so plain CG needs no preconditioning.  The right-hand
+  vector product.  The reconcilers hand it the aggregation operator's
+  product v -> S^T diag(c) S v (:meth:`FlowAggregationMatrix.normal`,
+  S = [M; I] with the identity block applied exactly), so the
+  normal-equation matrix and the generalised Hessians are applied, never
+  formed.  Their eigenvalues sit at or above the weight of the identity
+  block, so plain CG needs no preconditioning.  The right-hand
   side may be a vector or an (n, H) block of H of them; a block of two or
   more runs block CG over one shared Krylov space, one operator product on
   a block per step, and its :class:`SpdSolveInfo` counts those steps and
@@ -28,6 +30,7 @@ numerics itself:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,12 +175,13 @@ def _cg(matvec, b: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, S
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
+    work = np.empty_like(b)  # one buffer for the scaled updates, not one per step
     rs = float(r @ r)
     iterations = 0
     verifications = 2  # recurrence drift guard: re-derive the residual at most twice
 
     while True:
-        if np.sqrt(rs) <= target:
+        if math.sqrt(rs) <= target:
             true_r = b - matvec(x)
             true_norm = float(np.linalg.norm(true_r))
             if true_norm <= target:
@@ -203,10 +207,11 @@ def _cg(matvec, b: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, S
                 f"direction of nonpositive curvature (p^T M p = {p_ap:.3e})"
             )
         alpha = rs / p_ap
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(p, alpha, out=work)
+        r -= np.multiply(ap, alpha, out=work)
         rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
+        p *= rs_new / rs
+        p += r
         rs = rs_new
         iterations += 1
 

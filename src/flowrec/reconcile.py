@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -251,20 +252,20 @@ def _package(
 def _l2_solve(y: np.ndarray, agg: FlowAggregationMatrix, loss: LossSpec, t0: float):
     """Solve the weighted normal equations S^T W S b = S^T W y to :data:`L2_TOL`.
 
-    CG applies S^T W S as v -> S^T (w * (S v)), or S^T (S v) without
+    CG applies S^T W S through the operator's :meth:`~FlowAggregationMatrix.normal`,
+    M^T (w_NE * M v) + w_P * v with S = [M; I], or M^T M v + v without
     weights, so the Gram matrix, several times denser than S, is never
     formed.  A vector y gives b and its stats; an (n, H) block y, solved by
     one block CG, gives B and one stats per column, each with the block's
     step count, its column's gradient-norm certificate (twice its explicit
     CG residual) and an equal share of the block's wall time.
     """
-    s, st = agg.matrix, agg.matrix_t
     if loss.weights is None:
-        rhs, matvec = st @ y, lambda v: st @ (s @ v)
+        rhs, matvec = agg.restrict(y), agg.normal
     else:
         w = loss.resolved_weights(agg.n)
         wy = w if y.ndim == 1 else w[:, None]
-        rhs, matvec = st @ (wy * y), lambda v: st @ (wy * (s @ v))
+        rhs, matvec = agg.restrict(wy * y), partial(agg.normal, c=w)
     b, info = solve_spd_with_info(matvec, rhs, tol=L2_TOL)
     wall = time.perf_counter() - t0
     if y.ndim == 1:
@@ -398,7 +399,7 @@ def _l1_solve(y: np.ndarray, agg: FlowAggregationMatrix, w: np.ndarray, box, t0:
     k = n - agg.n_paths
     if box is None:
         box = BoxConstraints.unbounded(n)
-    m = agg.matrix[:k]
+    m = agg.node_edge
     eye = sp.identity(k, format="csr")
     a_eq = sp.hstack([-eye, m, eye, -m], format="csr")
     rhs = y[:k] - m @ y[path]
@@ -466,23 +467,30 @@ def _minimize_path_loss(y, agg: FlowAggregationMatrix, w, parts, b0, bounds, tol
     """Minimise sum_i w_i f(|(S b - y)_i|) over path values b on the one
     Newton kernel, :func:`minimize_smooth_convex`.
 
-    ``parts`` is the (f, f', c) triple of the loss: the gradient is
-    S^T (w f'(|r|) sign(r)) and the generalised Hessian S^T diag(c(|r|)) S,
-    applied through S and the network's cached S^T and never formed.
+    ``parts`` is the (f, f', c) triple of the loss: with r = S b - y the
+    gradient is S^T (w f'(|r|) sign(r)) and the generalised Hessian
+    S^T diag(c(|r|)) S, each applied through the operator
+    (:meth:`~FlowAggregationMatrix.lift`, :meth:`~FlowAggregationMatrix.restrict`,
+    :meth:`~FlowAggregationMatrix.normal`) and never formed.  The kernel
+    asks for the Hessian at the point it last evaluated, so ``hessian``
+    reuses that evaluation's r.
     """
     f, f_prime, curvature = parts
-    s, st = agg.matrix, agg.matrix_t
+    last_b = last_r = None  # the last objective call's point and its r
 
     def objective(b: np.ndarray) -> tuple[float, np.ndarray]:
-        r = s @ b - y
+        nonlocal last_b, last_r
+        r = agg.lift(b)
+        r -= y
+        last_b, last_r = b, r
         mag = np.abs(r)
         value = float(w @ np.asarray(f(mag), dtype=float))
-        grad = st @ (w * np.asarray(f_prime(mag), dtype=float) * np.sign(r))
+        grad = agg.restrict(w * np.asarray(f_prime(mag), dtype=float) * np.sign(r))
         return value, grad
 
     def hessian(b: np.ndarray):
-        c = curvature(np.abs(s @ b - y))
-        return lambda v: st @ (c * (s @ v))
+        r = last_r if b is last_b else agg.lift(b) - y
+        return partial(agg.normal, c=curvature(np.abs(r)))
 
     return minimize_smooth_convex(objective, hessian, b0, tol=tol, max_iter=max_iter, bounds=bounds)
 
@@ -495,7 +503,7 @@ def _solve_column(yhat, y, agg: FlowAggregationMatrix, loss, box, bounds):
     w = loss.resolved_weights(agg.n)
     if loss.kind == "l1":
         b, stats = _l1_solve(y, agg, w, box, t0)
-        return _package(yhat, y, agg.matrix @ b, b, agg, loss, stats)
+        return _package(yhat, y, agg.lift(b), b, agg, loss, stats)
     imap = agg.index_map
     parts = _smooth_parts(loss, w, imap)
     tol = RELAXED_TOL if loss.kind == "relaxed" else NEWTON_TOL
@@ -508,13 +516,14 @@ def _solve_column(yhat, y, agg: FlowAggregationMatrix, loss, box, bounds):
         method, res.iterations, time.perf_counter() - t0, gradient_norm=res.gradient_norm
     )
     if loss.kind != "relaxed":
-        return _package(yhat, y, agg.matrix @ res.x, res.x, agg, loss, stats)
+        return _package(yhat, y, agg.lift(res.x), res.x, agg, loss, stats)
     # Node values from the path values, edge forecasts clamped into their bands.
-    p, eps = res.x, loss.epsilon
-    edge_sums = agg.ep @ p
-    e_vals = np.clip(y[imap.edge_slice], edge_sums - eps, edge_sums + eps)
+    p, eps, edges = res.x, loss.epsilon, imap.edge_slice
+    lifted = agg.lift(p)
+    edge_sums = lifted[edges]
+    lifted[edges] = np.clip(y[edges], edge_sums - eps, edge_sums + eps)
     stats.refine_rounds = parts[2].rounds
-    result = _package(yhat, y, np.concatenate([agg.vp @ p, e_vals, p]), p, agg, loss, stats)
+    result = _package(yhat, y, lifted, p, agg, loss, stats)
     stats.max_violation = result.coherence.max_edge_residual
     return result
 
@@ -595,7 +604,7 @@ def _dispatch(yhat, agg, loss, box=None):
         return []
     if loss.kind == "l2" and box is None:
         b, stats = _l2_solve(y, agg, loss, t0)
-        return _package(yhat, y, agg.matrix @ b, b, agg, loss, stats)
+        return _package(yhat, y, agg.lift(b), b, agg, loss, stats)
     if not panel:
         return _solve_column(yhat, y, agg, loss, box, bounds)
     return [

@@ -110,9 +110,9 @@ def check_coherence(
     # The same code serves a vector and a block; residuals are laid out one
     # row per column for the reports.
     h = y.shape[1] if block else 1
-    paths = y[imap.path_slice]
-    node_res = np.abs(agg.vp @ paths - y[imap.node_slice]).T.reshape(h, imap.n_nodes)
-    edge_res = np.abs(agg.ep @ paths - y[imap.edge_slice]).T.reshape(h, imap.n_edges)
+    res = np.abs(agg.lift(y[imap.path_slice]) - y)
+    node_res = res[imap.node_slice].T.reshape(h, imap.n_nodes)
+    edge_res = res[imap.edge_slice].T.reshape(h, imap.n_edges)
     max_node = node_res.max(axis=1, initial=0.0)
     max_edge = edge_res.max(axis=1, initial=0.0)
     if tolerance is None:

@@ -537,7 +537,7 @@ def assert_equals_rebuild(net, edges, paths):
     assert net.path_nodes == fresh.path_nodes
     assert net.node_index == fresh.node_index
     assert net.edge_index == fresh.edge_index
-    for name in ("vp", "ep", "matrix", "matrix_t"):
+    for name in ("vp", "ep", "matrix", "node_edge", "node_edge_t"):
         got, want = getattr(agg, name), getattr(ref, name)
         assert got.format == want.format == "csr"
         assert got.shape == want.shape

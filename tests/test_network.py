@@ -193,3 +193,58 @@ class TestLookups:
                 assert net.find_path(path) == j
                 assert net.find_path(path + path) is None
         assert Network(["s", "t"], [("s", "t")], []).find_edge("s", "x") is None
+
+
+def operator_cases():
+    """The 20 small instances' operators, and one of a network derived by
+    :meth:`Network._edit` with an edge removed and one added."""
+    nets = [
+        random_instance(nodes=30, seed=s, density=0.2).network for s in range(555000, 555020)
+    ]
+    net = nets[0]
+    path = next(
+        p for p in net.paths
+        if len(p) >= 2 and net.find_edge(net.edges[p[0]][0], net.edges[p[1]][1]) is None
+    )
+    add = (net.edges[path[0]][0], net.edges[path[1]][1])
+    edited = net._edit(remove=path[0], add=add, new_paths=((len(net.edges) - 1,),))
+    return [n.aggregation for n in nets] + [edited.aggregation]
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestPathOperator:
+    """lift, restrict and normal carry the bits of the ``@`` products on
+    ``matrix`` and its CSR transpose that they replace."""
+
+    def test_products_match_the_sparse_products_bit_for_bit(self):
+        rng = np.random.default_rng(27)
+        for agg in operator_cases():
+            s = agg.matrix
+            st = s.T.tocsr()
+            n, n_paths = s.shape
+            b, blk = rng.normal(size=n_paths), rng.normal(size=(n_paths, 5))
+            b[:2] = -0.0  # the identity rows turn -0.0 into 0.0, as 0.0 + 1.0 * b does
+            u, ublk = rng.normal(size=n), rng.normal(size=(n, 5))
+            w = rng.uniform(0.5, 2.0, n)
+            c = w * (np.abs(u) <= 1.0)  # a Huber-like curvature with zeros
+            assert same_bits(agg.lift(b), s @ b)
+            assert same_bits(agg.lift(blk), s @ blk)
+            assert same_bits(agg.aggregate(b), s @ b)
+            assert same_bits(agg.restrict(u), st @ u)
+            assert same_bits(agg.restrict(ublk), st @ ublk)
+            assert same_bits(agg.normal(b), st @ (s @ b))
+            assert same_bits(agg.normal(blk), st @ (s @ blk))
+            for weights in (w, c):
+                assert same_bits(agg.normal(b, weights), st @ (weights * (s @ b)))
+                assert same_bits(agg.normal(blk, weights), st @ (weights[:, None] * (s @ blk)))
+
+    def test_node_edge_block_shares_the_stack_arrays(self):
+        for agg in operator_cases()[-2:]:
+            m, k = agg.node_edge, agg.n - agg.n_paths
+            assert m.shape == (k, agg.n_paths)
+            assert np.shares_memory(m.indices, agg.matrix.indices)
+            assert np.array_equal(m.toarray(), agg.matrix.toarray()[:k])
+            assert np.array_equal(agg.node_edge_t.toarray(), m.toarray().T)

@@ -241,16 +241,16 @@ class TestSolveSpdBlock:
         # and dropping every direction within 1e-6 of the others stalls the
         # solve (no convergence within 10 n steps).
         inst = random_instance(nodes=30, seed=32, density=0.2)
-        s, st = inst.agg.matrix, inst.agg.matrix_t
+        agg = inst.agg
         rng = np.random.default_rng(32)
-        w = 10.0 ** rng.uniform(-3, 3, s.shape[0])
-        y = inst.y_base.data[:, None] * rng.uniform(0.5, 2, 12) + rng.normal(0, 1, (s.shape[0], 12))
-        rhs = st @ (w[:, None] * y)
-        x, info = solve_spd_with_info(lambda v: st @ (w[:, None] * (s @ v)), rhs, tol=1e-10)
+        w = 10.0 ** rng.uniform(-3, 3, agg.n)
+        y = inst.y_base.data[:, None] * rng.uniform(0.5, 2, 12) + rng.normal(0, 1, (agg.n, 12))
+        rhs = agg.restrict(w[:, None] * y)
+        x, info = solve_spd_with_info(lambda v: agg.normal(v, w), rhs, tol=1e-10)
         for h in range(12):
             target = 1e-10 * np.linalg.norm(rhs[:, h])
-            assert np.linalg.norm(st @ (w * (s @ x[:, h])) - rhs[:, h]) <= target
-        assert info.iterations <= 2 * s.shape[1]
+            assert np.linalg.norm(agg.normal(x[:, h], w) - rhs[:, h]) <= target
+        assert info.iterations <= 2 * agg.n_paths
 
     def test_directions_closer_than_a_gram_matrix_resolves_are_kept(self):
         # Fifteen noisy horizons under weights spanning eight decades; each
@@ -260,17 +260,17 @@ class TestSolveSpdBlock:
         # QR down to 1e-10 keep those directions, and the block converges
         # within n steps.
         inst = random_instance(nodes=18, seed=44, density=0.33)
-        s, st = inst.agg.matrix, inst.agg.matrix_t
+        agg = inst.agg
         rng = np.random.default_rng(44)
-        w = 10.0 ** rng.uniform(-4, 4, s.shape[0])
-        y = inst.y_base.data[:, None] * rng.uniform(0.5, 2, 15) + rng.normal(0, 1, (s.shape[0], 15))
-        rhs = st @ (w[:, None] * y)
-        x, info = solve_spd_with_info(lambda v: st @ (w[:, None] * (s @ v)), rhs, tol=1e-10)
+        w = 10.0 ** rng.uniform(-4, 4, agg.n)
+        y = inst.y_base.data[:, None] * rng.uniform(0.5, 2, 15) + rng.normal(0, 1, (agg.n, 15))
+        rhs = agg.restrict(w[:, None] * y)
+        x, info = solve_spd_with_info(lambda v: agg.normal(v, w), rhs, tol=1e-10)
         for h in range(15):
             target = 1e-10 * np.linalg.norm(rhs[:, h])
-            assert np.linalg.norm(st @ (w * (s @ x[:, h])) - rhs[:, h]) <= target
-            solve_spd_with_info(lambda v: st @ (w * (s @ v)), rhs[:, h], tol=1e-10)
-        assert info.iterations <= s.shape[1]
+            assert np.linalg.norm(agg.normal(x[:, h], w) - rhs[:, h]) <= target
+            solve_spd_with_info(lambda v: agg.normal(v, w), rhs[:, h], tol=1e-10)
+        assert info.iterations <= agg.n_paths
 
     def test_columns_scaled_1e3_apart_each_meet_their_own_target(self):
         a = sp.random(90, 60, density=0.05, random_state=28, format="csr")

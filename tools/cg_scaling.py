@@ -9,8 +9,9 @@ For each size N in ``NODES``, an instance
 (``density_for_edge_target``) gets an (n, HORIZONS) panel of base
 forecasts: its truth scaled by a daily cycle plus 5 % Gaussian noise, as in
 ``perfbench``'s ``reconcile-l2-h24``.  Each checkout then solves
-S^T S B = S^T Y with ``solve_spd_with_info`` at the tolerance its l2
-dispatch uses, ``flowrec.reconcile.L2_TOL``, in a fresh
+S^T S B = S^T Y as its l2 dispatch does, by ``flowrec.reconcile._l2_solve``
+(the right-hand side S^T Y and one block CG at ``flowrec.reconcile.L2_TOL``,
+through that checkout's own products with S), in a fresh
 process with flowrec imported from its ``src`` and every BLAS pool pinned
 to one thread, which times one solve after an untimed one.  The two
 checkouts take ``REPEATS`` turns each, alternating which goes first, so
@@ -45,24 +46,21 @@ def measure(nodes: int) -> dict:
     import numpy as np
 
     from flowrec.benchmark import GeneratorConfig, density_for_edge_target, generate_instance
-    from flowrec.numerics import solve_spd_with_info
-    from flowrec.reconcile import L2_TOL
+    from flowrec.reconcile import L2_TOL, LossSpec, _l2_solve
 
     base = GeneratorConfig(nodes=nodes, seed=4000)
     cfg = GeneratorConfig(nodes=nodes, seed=4000, density=density_for_edge_target(base, 3 * nodes))
     inst = generate_instance(cfg, 0)
-    s, st = inst.agg.matrix, inst.agg.matrix_t
     rng = np.random.default_rng(4000 + nodes)
     cycle = 1.0 + 0.2 * np.sin(2 * np.pi * np.arange(HORIZONS) / 24.0)
     truth = inst.y_true.data[:, None] * cycle[None, :]
     panel = truth + rng.normal(0.0, 0.05 * float(np.abs(truth).mean()), truth.shape)
-    rhs = st @ panel
-    solve_spd_with_info(lambda v: st @ (s @ v), rhs, tol=L2_TOL)
+    _l2_solve(panel, inst.agg, LossSpec("l2"), time.perf_counter())
     start = time.perf_counter()
-    _, info = solve_spd_with_info(lambda v: st @ (s @ v), rhs, tol=L2_TOL)
+    _, stats = _l2_solve(panel, inst.agg, LossSpec("l2"), start)
     return {"paths": inst.agg.n_paths, "edges": len(inst.network.edges), "tol": L2_TOL,
             "ms": 1e3 * (time.perf_counter() - start),
-            "steps": max(c.iterations for c in info.columns)}
+            "steps": max(s.iterations for s in stats)}
 
 
 def run_child(root: str, nodes: int) -> dict:
@@ -109,8 +107,8 @@ def main() -> int:
         bench["scaling"] = {
             "description": (
                 f"tools/cg_scaling.py: {REPEATS} alternating turns per side of one timed "
-                f"solve_spd_with_info call on an (n, {HORIZONS}) panel per size, at each side's "
-                "flowrec.reconcile.L2_TOL (its \"tol\"), one "
+                f"_l2_solve call (S^T Y and one block CG) on an (n, {HORIZONS}) panel per "
+                "size, at each side's flowrec.reconcile.L2_TOL (its \"tol\"), one "
                 "thread, each in a fresh process; steps = largest per-column iteration count"),
             "rows": rows,
         }
