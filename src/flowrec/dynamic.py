@@ -14,14 +14,16 @@ Three situations are covered:
 * an edge disappears and its flow has to be rerouted along surviving
   routes (:func:`remove_edge`).
 
-Both edge edits derive the updated network and its aggregation operator
-from the current ones (``Network._edit``) instead of rebuilding them.
+Both edge edits derive the updated network from the current one
+(``Network._edit``) instead of rebuilding it: only the path tables are
+spliced out of the current ones' arrays, and the edited network's operator
+is built from them on first use, by the same builder as a fresh network's.
 Python work is spent on the affected and new paths only (and on the
-rerouting search); the rest is vectorised array work: O(nnz) to cut the
-edited operator and path tables from the current ones' arrays, one O(nnz)
-coherence pass on the prior vector and one O(nnz) lift of the updated path
-values through the new operator.  The edited network's ``paths``,
-``path_nodes`` and ``edge_index`` are built only if something reads them.
+rerouting search); the rest is vectorised array work: O(nnz) to splice the
+path tables and to build the operator, one O(nnz) coherence pass on the
+prior vector and one O(nnz) lift of the updated path values through the new
+operator.  The edited network's ``paths``, ``path_nodes`` and
+``edge_index`` are built only if something reads them.
 """
 
 from __future__ import annotations

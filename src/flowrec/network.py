@@ -11,10 +11,12 @@ values routed through that node and every edge value equals the sum of the
 path values using that edge.  The :class:`FlowAggregationMatrix` materialises
 that linear map sparsely; multiplying it by a vector of path values produces
 the full coherent stack.  A network owns its operator (:attr:`Network.aggregation`):
-it is built once, array-at-a-time, and shared by every caller, so it is
-read-only.  Local edits (:meth:`Network._edit`) derive the edited network and
-its operator from the parent's arrays instead of rebuilding either, and an
-edited network builds its tuple and dict tables only when they are read.
+it is built on first use from the network's two path tables by one builder
+(:func:`_node_edge`), and shared by every caller, so it is read-only.  Local
+edits (:meth:`Network._edit`) splice only the path tables out of the
+parent's; the edited network builds its operator on first use by the same
+builder as a fresh one, and its tuple and dict tables only when they are
+read.
 """
 
 from __future__ import annotations
@@ -114,10 +116,11 @@ class Network:
     path count) are cached views of them: the constructor sets
     :attr:`paths` and :attr:`edge_index` from its input, and every other
     view, on an edited network all four, is built on first read.  The
-    aggregation operator is built on first use and kept
-    (:attr:`aggregation`).  Treat a network and its operator as immutable:
-    the operator is shared by every caller and by the networks that edits
-    derive from this one.
+    aggregation operator is built from the two path tables on first use and
+    kept (:attr:`aggregation`), by the same builder on a fresh network and
+    on an edited one.  Treat a network and its operator as immutable: the
+    operator is shared by every caller, and the networks that edits derive
+    from this one share its node tables.
 
     Raises:
         DuplicateId, DanglingEdge, BrokenPath, ValidationError.
@@ -219,14 +222,14 @@ class Network:
 
     @cached_property
     def aggregation(self) -> "FlowAggregationMatrix":
-        """The network's aggregation operator, built on first use and kept.
+        """The network's aggregation operator, built on first use from the
+        path tables (:func:`_node_edge`) and kept.
 
         Shared by every caller (:meth:`FlowAggregationMatrix.from_network`
         returns it), so read-only.
         """
-        vp = _incidence(*self._node_cols, len(self.nodes))
-        ep = _incidence(*self._edge_cols, len(self.edges))
-        return FlowAggregationMatrix(vp, ep, self.index_map)
+        m = _node_edge(self._node_cols, self._edge_cols, len(self.nodes), len(self.edges))
+        return FlowAggregationMatrix(m, self.index_map)
 
     def _edit(
         self,
@@ -246,18 +249,18 @@ class Network:
         first edge).
 
         Python work is spent only on the removed and new paths.  The rest is
-        vectorised O(nnz) work on the parent's arrays: the path tables are
-        the parent's flat arrays with the removed paths masked out, the
-        edge numbers shifted and the new paths appended, and each operator
-        block is cut from the parent's CSR arrays (:func:`_splice`), so
-        every index array equals a fresh build's bit for bit.  The edited
-        network shares the node tables; its :attr:`paths`,
-        :attr:`path_nodes` and :attr:`edge_index` are built only when read.
+        vectorised O(nnz) work on the parent's arrays: only the path tables
+        are spliced, the parent's flat arrays with the removed paths masked
+        out, the edge numbers shifted and the new paths appended
+        (:func:`_splice_columns`).  The edited network shares the node
+        tables; its :attr:`aggregation` is built from the spliced tables on
+        first use by the same builder as a fresh network's, and its
+        :attr:`paths`, :attr:`path_nodes` and :attr:`edge_index` only when
+        read.
 
         Returns:
-            the edited network, with :attr:`aggregation` already set.
+            the edited network, its operator not yet built.
         """
-        parent = self.aggregation
         gone = self.paths_through("edge", remove) if remove is not None else ()
         keep = None
         if gone:
@@ -290,10 +293,6 @@ class Network:
         new_nodes = net._node_columns(*new_edges)
         net._edge_cols = _splice_columns(*self._edge_cols, keep, remove, *new_edges)
         net._node_cols = _splice_columns(*self._node_cols, keep, None, *new_nodes)
-        vp_gone, ep_gone = _entries(*self._node_cols, gone), _entries(*self._edge_cols, gone)
-        vp = _splice(parent.vp, keep, vp_gone, None, len(net.nodes), *new_nodes)
-        ep = _splice(parent.ep, keep, ep_gone, remove, len(edges), *new_edges)
-        net.aggregation = FlowAggregationMatrix(vp, ep, net.index_map)
         return net
 
     def _node_columns(self, flat: np.ndarray, ptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -328,22 +327,24 @@ class Network:
     def paths_through(self, kind: str, index: int) -> tuple[int, ...]:
         """All path indices that traverse the given node or use the given edge.
 
-        Read off the row of the aggregation operator, in increasing order.
+        Read off the row of the operator's node/edge block, in increasing
+        order.
 
         Args:
             kind: ``"node"`` or ``"edge"``.
             index: local index within that block.
         """
         if kind == "node":
-            block = self.aggregation.vp
+            offset, rows = 0, len(self.nodes)
         elif kind == "edge":
-            block = self.aggregation.ep
+            offset, rows = len(self.nodes), len(self.edges)
         else:
             raise UnknownIndex(f"paths_through expects kind node or edge, got {kind!r}")
-        rows = block.shape[0]
         if not 0 <= index < rows:
             raise UnknownIndex(f"{kind} index {index} out of range [0, {rows})")
-        return tuple(block.indices[block.indptr[index] : block.indptr[index + 1]].tolist())
+        m = self.aggregation.node_edge
+        row = offset + index
+        return tuple(m.indices[m.indptr[row] : m.indptr[row + 1]].tolist())
 
     def find_path(self, path: tuple[int, ...]) -> int | None:
         """Index of the path with edge sequence ``path``, or None.
@@ -407,21 +408,6 @@ def _sequences(flat: np.ndarray, ptr: np.ndarray) -> tuple[tuple[int, ...], ...]
     return tuple(tuple(items[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
-def _entries(flat: np.ndarray, ptr: np.ndarray, seqs) -> np.ndarray:
-    """The entries of sequences ``seqs`` of ``flat``/``ptr``, end to end."""
-    return np.concatenate([flat[:0], *(flat[ptr[j] : ptr[j + 1]] for j in seqs)])
-
-
-def _incidence(rows: np.ndarray, ptr: np.ndarray, n_rows: int) -> sp.csr_matrix:
-    """0/1 CSR matrix whose column j has its ones in rows[ptr[j]:ptr[j + 1]].
-
-    Rows repeat in no column (paths are simple), and the CSC to CSR
-    conversion sorts each row's column indices.
-    """
-    data = np.ones(rows.shape[0])
-    return sp.csc_matrix((data, rows, ptr), shape=(n_rows, ptr.shape[0] - 1)).tocsr()
-
-
 def _splice_columns(
     flat: np.ndarray,
     ptr: np.ndarray,
@@ -443,118 +429,71 @@ def _splice_columns(
     return np.concatenate([flat, new_flat]), np.concatenate([ptr, ptr[-1] + new_ptr[1:]])
 
 
-def _index_dtype(*sizes: int) -> type:
-    """The index dtype scipy gives a sparse matrix with these sizes (shape
-    and entry count): int32 while they fit, else int64.  Arrays handed over
-    in it pass the constructor without a scan of their contents."""
-    return np.int32 if max(sizes, default=0) <= np.iinfo(np.int32).max else np.int64
-
-
-def _splice(
-    block: sp.csr_matrix,
-    keep: np.ndarray | None,
-    dropped_rows: np.ndarray,
-    removed_row: int | None,
-    n_rows: int,
-    new_rows: np.ndarray,
-    new_ptr: np.ndarray,
+def _node_edge(
+    node_cols: tuple[np.ndarray, np.ndarray],
+    edge_cols: tuple[np.ndarray, np.ndarray],
+    n_nodes: int,
+    n_edges: int,
 ) -> sp.csr_matrix:
-    """The 0/1 CSR ``block`` with the columns where ``keep`` is false dropped
-    (none when it is None) and the rest renumbered in order, the empty row
-    ``removed_row`` dropped, rows up to ``n_rows`` added, and the columns
-    ``new_rows``/``new_ptr`` appended.  ``dropped_rows`` lists the rows of
-    the dropped entries.
+    """The 0/1 node/edge block M, shape (n_nodes + n_edges, n_paths), from
+    the path tables (:func:`_columns` layout): column j has its ones in the
+    rows of path j's nodes and, offset by ``n_nodes``, of its edges.
 
-    Cut straight from ``block``'s arrays, which it may share: the new
-    columns are numbered after every kept one, so their entries go at the
-    ends of their rows, and each row stays sorted.  The arrays equal what
-    :func:`_incidence` builds from the same columns, at one constructor call
-    and no format conversion.
+    Each path table is the CSR pattern of its block's transpose, so
+    scipy's compiled ``csr_tocsc`` transposes the node table and then the
+    edge table into one set of CSR arrays.  It visits the paths in order,
+    so each row's column indices come out sorted.  The index dtype is int32
+    while the sizes fit, as scipy's own constructors choose, so the matrix
+    is built without a scan of its arrays.  The tables must be valid: the
+    kernel does not check that an index is in range.
     """
-    indices, row_ptr = block.indices, block.indptr
-    n_cols = block.shape[1]
-    if keep is not None:
-        # A kept column moves down by the dropped columns before it, and a
-        # row's start by the dropped entries before it.
-        renumber = np.cumsum(keep, dtype=indices.dtype) - 1
-        indices = renumber[indices[keep[indices]]]
-        lost = np.zeros_like(row_ptr)
-        np.cumsum(np.bincount(dropped_rows, minlength=row_ptr.shape[0] - 1), out=lost[1:])
-        row_ptr = row_ptr - lost
-        n_cols = int(renumber[-1]) + 1
-    if removed_row is not None:
-        row_ptr = np.concatenate([row_ptr[:removed_row], row_ptr[removed_row + 1 :]])
-    if n_rows + 1 > row_ptr.shape[0]:
-        pad = np.full(n_rows + 1 - row_ptr.shape[0], row_ptr[-1], dtype=row_ptr.dtype)
-        row_ptr = np.concatenate([row_ptr, pad])
-    if new_rows.shape[0]:
-        # New entries go in row order, each after its row's kept entries
-        # and the new entries before it.
-        order = np.argsort(new_rows, kind="stable")
-        rows = new_rows[order]
-        cols = n_cols + np.repeat(np.arange(new_ptr.shape[0] - 1), np.diff(new_ptr))
-        indices = np.insert(indices, row_ptr[rows + 1], cols[order])
-        row_ptr = row_ptr + np.searchsorted(rows, np.arange(n_rows + 1))
-        n_cols += new_ptr.shape[0] - 1
-    idx = _index_dtype(n_rows, n_cols, indices.shape[0])
-    indices, row_ptr = indices.astype(idx, copy=False), row_ptr.astype(idx, copy=False)
-    return sp.csr_matrix((np.ones(indices.shape[0]), indices, row_ptr), shape=(n_rows, n_cols))
+    (nodes, node_ptr), (edges, edge_ptr) = node_cols, edge_cols
+    n_paths, k = node_ptr.shape[0] - 1, n_nodes + n_edges
+    nv, nnz = nodes.shape[0], nodes.shape[0] + edges.shape[0]
+    idx = np.int32 if max(k, n_paths, nnz) <= np.iinfo(np.int32).max else np.int64
+    indptr, indices, data = np.empty(k + 1, dtype=idx), np.empty(nnz, dtype=idx), np.ones(nnz)
+    # Every value is 1.0, so ``data`` serves as the kernel's input and its
+    # output.  The edge block's row pointer is written from 0, then offset.
+    _sparsetools.csr_tocsc(n_paths, n_nodes, node_ptr.astype(idx), nodes.astype(idx),
+                           data[:nv], indptr[: n_nodes + 1], indices[:nv], data[:nv])
+    _sparsetools.csr_tocsc(n_paths, n_edges, edge_ptr.astype(idx), edges.astype(idx),
+                           data[nv:], indptr[n_nodes:], indices[nv:], data[nv:])
+    indptr[n_nodes:] += nv
+    return sp.csr_matrix((data, indices, indptr), shape=(k, n_paths))
 
 
 class FlowAggregationMatrix:
     """Sparse map S from path values to the full [nodes; edges; paths] stack.
 
-    S = [M; I] stacks the node/edge block M = [vp; ep] over an identity on
-    the paths.  Every product with S that the solvers take goes through
-    :meth:`lift` (S b), :meth:`restrict` (S^T u) and :meth:`normal`
-    (S^T diag(c) S v).  Each calls scipy's compiled CSR kernel,
-    the routine that ``@`` itself ends in, on M or on the cached M^T, and
-    applies the identity block exactly, so a result carries the same bits
-    as the ``@`` expression on ``matrix`` and its transpose.
+    S = [M; I] stacks the node/edge block M over an identity on the paths.
+    Every product with S that the solvers take goes through :meth:`lift`
+    (S b), :meth:`restrict` (S^T u) and :meth:`normal` (S^T diag(c) S v).
+    Each calls scipy's compiled CSR kernel, the routine that ``@`` itself
+    ends in, on M or on the cached M^T, and applies the identity block
+    exactly, so a result carries the same bits as the ``@`` expression on
+    ``matrix`` and its transpose.
 
-    A network owns its operator: :meth:`from_network` returns the network's
-    :attr:`Network.aggregation`, so every caller shares one object.
-    Treat it as read-only; write into no matrix it holds.
+    The operator holds M as given and does no array work of its own: a
+    network builds M from its path tables (:func:`_node_edge`), fresh or
+    edited alike.  A network owns its operator: :meth:`from_network`
+    returns the network's :attr:`Network.aggregation`, so every caller
+    shares one object.  Treat it as read-only; write into no matrix it
+    holds.
 
     Attributes:
-        vp: CSR matrix, shape (n_nodes, n_paths).  vp[v, j] is 1 when path j
-            passes through node v, so each column carries (length + 1) ones.
-        ep: CSR matrix, shape (n_edges, n_paths).  ep[e, j] is 1 when path j
-            uses edge e.
-        matrix: CSR stack [vp; ep; I], shape (n, n_paths).  Full column rank
-            by construction thanks to the identity block.
-        node_edge: CSR matrix M = [vp; ep], shape (n_nodes + n_edges,
-            n_paths), the rows of ``matrix`` above the identity; it shares
-            their arrays.
+        node_edge: CSR matrix M, shape (n_nodes + n_edges, n_paths).
+            M[v, j] is 1 when path j passes through node v, and
+            M[n_nodes + e, j] is 1 when path j uses edge e.
         node_edge_t: CSR copy of M^T, built on first use and kept.
+        matrix: CSR stack [M; I], shape (n, n_paths), built on first read
+            and kept.  Full column rank by construction thanks to the
+            identity block.  No solve, check or edit reads it.
         index_map: the component layout this matrix aggregates into.
     """
 
-    def __init__(self, vp: sp.csr_matrix, ep: sp.csr_matrix, index_map: IndexMap):
-        self.vp = vp
-        self.ep = ep
+    def __init__(self, node_edge: sp.csr_matrix, index_map: IndexMap):
+        self.node_edge = node_edge
         self.index_map = index_map
-        # The stack's arrays are the blocks' arrays end to end; the identity
-        # block holds one entry per row.
-        n_paths, n_vp, n_ep = index_map.n_paths, int(vp.indptr[-1]), int(ep.indptr[-1])
-        idx = _index_dtype(index_map.n, n_vp + n_ep + n_paths)
-        indptr = np.concatenate(
-            [
-                vp.indptr,
-                np.add(ep.indptr[1:], n_vp, dtype=idx),
-                np.arange(n_vp + n_ep + 1, n_vp + n_ep + n_paths + 1, dtype=idx),
-            ],
-            dtype=idx,
-        )
-        indices = np.concatenate([vp.indices, ep.indices, np.arange(n_paths)], dtype=idx)
-        self.matrix = sp.csr_matrix(
-            (np.ones(indices.shape[0]), indices, indptr), shape=(index_map.n, n_paths)
-        )
-        k, nnz = index_map.n_nodes + index_map.n_edges, n_vp + n_ep
-        m = self.matrix
-        self.node_edge = sp.csr_matrix(
-            (m.data[:nnz], m.indices[:nnz], m.indptr[: k + 1]), shape=(k, n_paths)
-        )
 
     @classmethod
     def from_network(cls, net: Network) -> "FlowAggregationMatrix":
@@ -563,11 +502,15 @@ class FlowAggregationMatrix:
 
     @cached_property
     def node_edge_t(self) -> sp.csr_matrix:
-        # Lazy: callers that build an operator only to edit or check it
-        # never pay for the copy.  Row j lists path j's nodes and edges in
-        # increasing row order, as row j of matrix.T.tocsr() does before
-        # its identity entry.
+        # Lazy: callers that only lift or check never pay for the copy.
+        # Row j lists path j's nodes and edges in increasing row order, as
+        # row j of matrix.T.tocsr() does before its identity entry.
         return self.node_edge.T.tocsr()
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        # M's arrays followed by the identity block's one entry per row.
+        return sp.vstack([self.node_edge, sp.identity(self.n_paths, format="csr")], format="csr")
 
     @property
     def n(self) -> int:

@@ -302,8 +302,7 @@ def coherence_constraints(agg: FlowAggregationMatrix) -> tuple[np.ndarray, np.nd
     k = imap.n_nodes + imap.n_edges
     a = np.zeros((k, imap.n))
     a[:, :k] = np.eye(k)
-    a[: imap.n_nodes, imap.path_slice] = -agg.vp.toarray()
-    a[imap.n_nodes :, imap.path_slice] = -agg.ep.toarray()
+    a[:, imap.path_slice] = -agg.node_edge.toarray()
     return a, np.zeros(k)
 
 

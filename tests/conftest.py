@@ -80,3 +80,10 @@ def random_instance(nodes=10, seed=0, **kwargs):
     """One deterministic generated instance for property-style tests."""
     cfg = GeneratorConfig(nodes=nodes, instances=1, seed=seed, **kwargs)
     return generate_instance(cfg, 0)
+
+
+def node_edge_blocks(agg):
+    """The node rows and the edge rows of the operator's node/edge block,
+    the path-node and path-edge incidence matrices."""
+    m, n_nodes = agg.node_edge, agg.index_map.n_nodes
+    return m[:n_nodes], m[n_nodes:]

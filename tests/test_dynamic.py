@@ -16,6 +16,7 @@ from flowrec import (
     EdgeExists,
     FlowAggregationMatrix,
     ForecastVector,
+    LossSpec,
     Network,
     NoAffectedPaths,
     UnknownComponent,
@@ -28,6 +29,7 @@ from flowrec import (
     apply_monotone_sequence,
     check_coherence,
     check_data_update,
+    reconcile_general,
     reconcile_l1,
     reconcile_l2,
     remove_edge,
@@ -537,7 +539,7 @@ def assert_equals_rebuild(net, edges, paths):
     assert net.path_nodes == fresh.path_nodes
     assert net.node_index == fresh.node_index
     assert net.edge_index == fresh.edge_index
-    for name in ("vp", "ep", "matrix", "node_edge", "node_edge_t"):
+    for name in ("matrix", "node_edge", "node_edge_t"):
         got, want = getattr(agg, name), getattr(ref, name)
         assert got.format == want.format == "csr"
         assert got.shape == want.shape
@@ -671,6 +673,45 @@ class TestEditEqualsRebuild:
         plan, updated, _ = remove_edge(net, y, ("T", "RA"))
         assert plan.affected_paths == ()
         assert_equals_rebuild(updated, distribution_net.edges, distribution_net.paths)
+
+    def test_solves_checks_and_edits_leave_the_stack_unbuilt(self):
+        # Only tests and tools read ``matrix``; everything else goes through
+        # the node/edge block.  An edited network's operator waits for its
+        # first use, as a fresh network's does.
+        inst = random_instance(nodes=20, seed=905)
+        net, agg, y = inst.network, inst.agg, inst.y_base.data
+        w = np.linspace(0.5, 2.0, agg.n)
+        panel = np.column_stack([y, 2.0 * y, y + 1.0])
+        for yhat, loss in (
+            (y, LossSpec("l2")),
+            (panel, LossSpec("l2")),
+            (y, LossSpec("l2", weights=w)),
+            (y, LossSpec("l1")),
+            (y, LossSpec("huber", delta=1.0)),
+            (y, LossSpec("relaxed", epsilon=0.01)),
+        ):
+            reconcile_general(yhat, agg, loss)
+            assert "matrix" not in vars(agg), (loss.kind, yhat.ndim)
+        check_coherence(y, agg)
+        assert "matrix" not in vars(agg)
+
+        rng = np.random.default_rng(905)
+        y = agg.aggregate(inst.y_true.data[agg.index_map.path_slice])
+        for e in rng.permutation(len(net.edges)).tolist():
+            if not net.paths_through("edge", e):
+                continue
+            edited = net._edit(remove=e)
+            assert "aggregation" not in vars(edited)
+            assert "matrix" not in vars(edited.aggregation)
+            try:
+                _, net1, y1 = remove_edge(net, y, e)
+            except Disconnected:
+                continue
+            break
+        edge, routes = shortcut(net1, rng)
+        added = add_edge_update(net1, y1.data, edge, 10.0, routes)
+        for n in (net, net1, added.network):
+            assert "matrix" not in vars(n.aggregation)
 
     def test_edit_refuses_a_repeated_path(self, parallel_net):
         with pytest.raises(DuplicateId, match="^new path 0 repeats a path of the network$"):

@@ -14,7 +14,7 @@ from flowrec import (
     ValidationError,
 )
 
-from conftest import random_instance
+from conftest import node_edge_blocks, random_instance
 
 
 class TestNetworkValidation:
@@ -118,11 +118,12 @@ class TestIndexMap:
 
 class TestAggregationMatrix:
     def test_chain_incidence_columns(self, chain_agg):
-        assert chain_agg.vp.toarray().tolist() == [[1.0], [1.0], [1.0]]
-        assert chain_agg.ep.toarray().tolist() == [[1.0], [1.0]]
+        vp, ep = node_edge_blocks(chain_agg)
+        assert vp.toarray().tolist() == [[1.0], [1.0], [1.0]]
+        assert ep.toarray().tolist() == [[1.0], [1.0]]
 
     def test_parallel_incidence_rows(self, parallel_agg):
-        vp = parallel_agg.vp.toarray()
+        vp = node_edge_blocks(parallel_agg)[0].toarray()
         assert vp[0].tolist() == [1.0, 1.0]  # s on both paths
         assert vp[1].tolist() == [1.0, 0.0]  # a only on path 0
         assert vp[2].tolist() == [0.0, 1.0]  # b only on path 1
@@ -137,8 +138,7 @@ class TestAggregationMatrix:
         # Independent recount: walk each path and tally nodes/edges by hand.
         inst = random_instance(nodes=10, seed=4)
         net, agg = inst.network, inst.agg
-        ep = agg.ep.toarray()
-        vp = agg.vp.toarray()
+        vp, ep = (block.toarray() for block in node_edge_blocks(agg))
         for j, path in enumerate(net.paths):
             assert ep[:, j].sum() == len(path)
             assert vp[:, j].sum() == len(path) + 1
@@ -162,8 +162,7 @@ class TestPathsThrough:
     def test_matches_incidence_matrix_scan(self):
         inst = random_instance(nodes=10, seed=7)
         net, agg = inst.network, inst.agg
-        vp = agg.vp.toarray()
-        ep = agg.ep.toarray()
+        vp, ep = (block.toarray() for block in node_edge_blocks(agg))
         for v in range(len(net.nodes)):
             assert net.paths_through("node", v) == tuple(np.flatnonzero(vp[v]))
         for e in range(len(net.edges)):
@@ -174,6 +173,12 @@ class TestPathsThrough:
             chain_net.paths_through("edge", 5)
         with pytest.raises(UnknownIndex):
             chain_net.paths_through("path", 0)
+        # The node and edge rows are one block, so an index just outside
+        # either range would read a neighbouring row.
+        n_nodes, n_edges = len(chain_net.nodes), len(chain_net.edges)
+        for kind, index in (("node", n_nodes), ("node", -1), ("edge", -1), ("edge", n_edges)):
+            with pytest.raises(UnknownIndex):
+                chain_net.paths_through(kind, index)
 
 
 class TestLookups:
@@ -241,10 +246,13 @@ class TestPathOperator:
                 assert same_bits(agg.normal(b, weights), st @ (weights * (s @ b)))
                 assert same_bits(agg.normal(blk, weights), st @ (weights[:, None] * (s @ blk)))
 
-    def test_node_edge_block_shares_the_stack_arrays(self):
+    def test_node_edge_block_is_the_top_of_the_stack(self):
         for agg in operator_cases()[-2:]:
-            m, k = agg.node_edge, agg.n - agg.n_paths
-            assert m.shape == (k, agg.n_paths)
-            assert np.shares_memory(m.indices, agg.matrix.indices)
-            assert np.array_equal(m.toarray(), agg.matrix.toarray()[:k])
-            assert np.array_equal(agg.node_edge_t.toarray(), m.toarray().T)
+            m, mt, s = agg.node_edge, agg.node_edge_t, agg.matrix
+            k = agg.n - agg.n_paths
+            assert m.shape == (k, agg.n_paths) and mt.shape == (agg.n_paths, k)
+            top = s[:k]
+            for part in ("indptr", "indices", "data"):
+                assert same_bits(getattr(m, part), getattr(top, part)), part
+            assert same_bits(mt.toarray(), m.toarray().T)
+            assert mt.indices.dtype == mt.indptr.dtype == m.indices.dtype == m.indptr.dtype

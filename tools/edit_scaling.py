@@ -1,4 +1,5 @@
-"""Time the two edge edits of two checkouts on layered networks of growing size.
+"""Time the two edge edits and the operator build of two checkouts on layered
+networks of growing size.
 
 Usage, from anywhere:
 
@@ -14,13 +15,17 @@ in ``update-rounds``.  One round times ``remove_edge`` on the base network,
 then ``add_edge_update`` on the network that removal returned, for every
 slot in turn; a process runs ``ROUNDS`` rounds and reports each edit's
 median.  So the affected work is the same at every size and what grows is
-everything else.  Each checkout runs in a fresh process with flowrec
-imported from its ``src`` and every BLAS pool pinned to one thread; the
-two checkouts take ``REPEATS`` turns each, alternating which goes first,
-so that a change in the machine's speed meets both sides.  Reported per
-size and side: every turn's medians and the median over turns, in
-microseconds.  With ``--out``, the table is stored under
-``"edit_scaling"`` in FILE, which is created or updated in place.
+everything else.  After the edits, the process times ``ROUNDS * SLOTS``
+rebuilds of the base network's operator (the cached ``aggregation`` is
+dropped and read again) and reports their median as ``build_us``: the
+build a fresh network pays, next to the edits that build their own.
+Each checkout runs in a fresh process with flowrec imported from its
+``src`` and every BLAS pool pinned to one thread; the two checkouts take
+``REPEATS`` turns each, alternating which goes first, so that a change in
+the machine's speed meets both sides.  Reported per size and side: every
+turn's medians and the median over turns, in microseconds.  With
+``--out``, the table is stored under ``"edit_scaling"`` in FILE, which is
+created or updated in place.
 """
 
 from __future__ import annotations
@@ -105,10 +110,17 @@ def measure(paths: int) -> dict:
             t2 = time.perf_counter()
             remove_s.append(t1 - t0)
             add_s.append(t2 - t1)
+    build_s = []
+    for _ in range(ROUNDS * SLOTS):
+        vars(net).pop("aggregation")
+        t0 = time.perf_counter()
+        net.aggregation
+        build_s.append(time.perf_counter() - t0)
     return {"paths": paths, "nodes": len(nodes), "edges": len(edges),
             "nnz": int(net.aggregation.matrix.nnz),
             "remove_us": 1e6 * statistics.median(remove_s),
-            "add_us": 1e6 * statistics.median(add_s)}
+            "add_us": 1e6 * statistics.median(add_s),
+            "build_us": 1e6 * statistics.median(build_s)}
 
 
 def run_child(root: str, paths: int) -> dict:
@@ -142,7 +154,7 @@ def main() -> int:
         row = {key: first[key] for key in ("paths", "nodes", "edges", "nnz")}
         for side, done in runs.items():
             row[side] = {}
-            for key in ("remove_us", "add_us"):
+            for key in ("remove_us", "add_us", "build_us"):
                 values = [run[key] for run in done]
                 row[side][key] = values
                 row[side]["median_" + key] = statistics.median(values)
@@ -150,7 +162,8 @@ def main() -> int:
         p, c = row["parent"], row["change"]
         print(f"{paths} paths: remove {p['median_remove_us']:.0f} -> "
               f"{c['median_remove_us']:.0f} us, add {p['median_add_us']:.0f} -> "
-              f"{c['median_add_us']:.0f} us")
+              f"{c['median_add_us']:.0f} us, build {p['median_build_us']:.0f} -> "
+              f"{c['median_build_us']:.0f} us")
     if args.out:
         bench = {}
         if os.path.exists(args.out):
@@ -161,7 +174,8 @@ def main() -> int:
                 f"tools/edit_scaling.py: per layered network size, {REPEATS} alternating turns per "
                 f"side, each a fresh process (one thread) timing {ROUNDS} rounds over {SLOTS} "
                 f"slots: remove_edge of an edge with {AFFECTED} affected paths, then "
-                f"add_edge_update of a shortcut with {SHORTCUT} new paths; medians in us"),
+                f"add_edge_update of a shortcut with {SHORTCUT} new paths, then "
+                f"{ROUNDS * SLOTS} rebuilds of the base network's operator; medians in us"),
             "rows": rows,
         }
         with open(args.out, "w") as fh:
