@@ -46,7 +46,7 @@ from .errors import (
     UnknownEdge,
     ValidationError,
 )
-from .network import IndexMap, Network
+from .network import IndexMap, Network, _integer
 from .series import ForecastVector, check_coherence, _as_component_vector, _vector_like
 
 
@@ -221,11 +221,11 @@ class UpdateLedger:
         self.tolerance = L2_KEEP_TOL * (1.0 + float(np.sum((self.reconciled - self.forecast) ** 2)))
 
     def resolve(self, component) -> int:
-        if isinstance(component, tuple):
+        if isinstance(component, tuple) and len(component) == 2:
             if self.index_map is None:
                 raise UnknownComponent("ledger has no index map to resolve (kind, index)")
             return self.index_map.global_index(*component)
-        x = int(component)
+        x = _integer(component, UnknownComponent, "component")
         if not 0 <= x < self.reconciled.shape[0]:
             raise UnknownComponent(
                 f"component {x} out of range [0, {self.reconciled.shape[0]})"
@@ -367,26 +367,27 @@ def remove_edge(net: Network, y_tilde, edge) -> tuple[RemovalPlan, Network, Fore
     Args:
         net: current network.
         y_tilde: current coherent vector for ``net``.
-        edge: edge index or (tail, head) pair to remove.
+        edge: edge index, or (tail, head) node names of the edge to remove.
 
     Returns:
         (plan, updated network, updated vector); see :class:`RemovalPlan`.
 
     Raises:
-        UnknownEdge: the edge does not exist.
+        UnknownEdge: the edge does not exist, or ``edge`` is neither an
+            integer nor a 2-tuple.
         ValidationError: ``y_tilde`` is not coherent for ``net``.
         Disconnected: some affected origin-destination pair has no
             surviving route.
     """
     imap = net.index_map
     y = _as_component_vector(y_tilde, imap.n)
-    if isinstance(edge, tuple) and len(edge) == 2 and not isinstance(edge[0], (int, np.integer)):
+    if isinstance(edge, tuple) and len(edge) == 2:
         tail, head = str(edge[0]), str(edge[1])
         e_star = net.find_edge(tail, head)
         if e_star is None:
             raise UnknownEdge(f"edge ({tail!r}, {head!r}) does not exist")
     else:
-        e_star = int(edge)
+        e_star = _integer(edge, UnknownEdge, "edge index")
         if not 0 <= e_star < len(net.edges):
             raise UnknownEdge(f"edge index {e_star} out of range [0, {len(net.edges)})")
 

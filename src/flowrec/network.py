@@ -10,17 +10,20 @@ A vector is *coherent* when every node value equals the sum of the path
 values routed through that node and every edge value equals the sum of the
 path values using that edge.  The :class:`FlowAggregationMatrix` materialises
 that linear map sparsely; multiplying it by a vector of path values produces
-the full coherent stack.  A network owns its operator (:attr:`Network.aggregation`):
-it is built on first use from the network's two path tables by one builder
-(:func:`_node_edge`), and shared by every caller, so it is read-only.  Local
-edits (:meth:`Network._edit`) splice only the path tables out of the
-parent's; the edited network builds its operator on first use by the same
-builder as a fresh one, and its tuple and dict tables only when they are
-read.
+the full coherent stack.  It stores only its node and edge rows M, the path
+rows being an identity, and every product with the map or its transpose
+reads M's arrays: the transpose is never stored.  A network owns its
+operator (:attr:`Network.aggregation`): it is built on first use from the
+network's two path tables by one builder (:func:`_node_edge`), and shared by
+every caller, so it is read-only.  Local edits (:meth:`Network._edit`)
+splice only the path tables out of the parent's; the edited network builds
+its operator on first use by the same builder as a fresh one, and its tuple
+and dict tables only when they are read.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -73,12 +76,13 @@ class IndexMap:
         """Map a (kind, local) reference to its position in the stacked vector.
 
         Raises:
-            UnknownIndex: if ``kind`` is not node/edge/path or ``local`` is
-                out of range for that block.
+            UnknownIndex: if ``kind`` is not node/edge/path, or ``local`` is
+                not an integer or out of range for that block.
         """
         counts = {"node": self.n_nodes, "edge": self.n_edges, "path": self.n_paths}
         if kind not in counts:
             raise UnknownIndex(f"unknown component kind {kind!r}")
+        local = _integer(local, UnknownIndex, f"{kind} index")
         if not 0 <= local < counts[kind]:
             raise UnknownIndex(f"{kind} index {local} out of range [0, {counts[kind]})")
         offset = {"node": 0, "edge": self.n_nodes, "path": self.n_nodes + self.n_edges}
@@ -114,11 +118,11 @@ class Network:
     columns of the operator's edge and node blocks.  :attr:`paths`,
     :attr:`path_nodes`, :attr:`edge_index` and :attr:`index_map` (with the
     path count) are cached views of them: the constructor sets
-    :attr:`paths` and :attr:`edge_index` from its input, and every other
-    view, on an edited network all four, is built on first read.  The
-    aggregation operator is built from the two path tables on first use and
-    kept (:attr:`aggregation`), by the same builder on a fresh network and
-    on an edited one.  Treat a network and its operator as immutable: the
+    :attr:`paths` from its input, and every other view, on an edited
+    network all four, is built on first read.  The aggregation operator is
+    built from the two path tables on first use and kept
+    (:attr:`aggregation`), by the same builder on a fresh network and on an
+    edited one.  Treat a network and its operator as immutable: the
     operator is shared by every caller, and the networks that edits derive
     from this one share its node tables.
 
@@ -138,7 +142,15 @@ class Network:
         self.paths = tuple(tuple(int(e) for e in p) for p in (paths or ()))
         self.roles = dict(roles or {})
         self._validate()
-        self._build_derived()
+        self.node_index = {v: i for i, v in enumerate(self.nodes)}
+        # Row e holds the node indices of edge e's tail and head.
+        self._edge_ends = np.fromiter(
+            map(self.node_index.__getitem__, chain.from_iterable(self.edges)),
+            dtype=np.intp,
+            count=2 * len(self.edges),
+        ).reshape(-1, 2)
+        self._edge_cols = _columns(self.paths)
+        self._node_cols = self._node_columns(*self._edge_cols)
 
     # -- validation ----------------------------------------------------------
 
@@ -188,18 +200,6 @@ class Network:
             visited.append(head)
 
     # -- derived structure -----------------------------------------------------
-
-    def _build_derived(self) -> None:
-        self.node_index = {v: i for i, v in enumerate(self.nodes)}
-        self.edge_index = {e: i for i, e in enumerate(self.edges)}
-        # Row e holds the node indices of edge e's tail and head.
-        self._edge_ends = np.fromiter(
-            map(self.node_index.__getitem__, chain.from_iterable(self.edges)),
-            dtype=np.intp,
-            count=2 * len(self.edges),
-        ).reshape(-1, 2)
-        self._edge_cols = _columns(self.paths)
-        self._node_cols = self._node_columns(*self._edge_cols)
 
     @cached_property
     def paths(self) -> tuple[tuple[int, ...], ...]:
@@ -334,16 +334,10 @@ class Network:
             kind: ``"node"`` or ``"edge"``.
             index: local index within that block.
         """
-        if kind == "node":
-            offset, rows = 0, len(self.nodes)
-        elif kind == "edge":
-            offset, rows = len(self.nodes), len(self.edges)
-        else:
+        if kind not in ("node", "edge"):
             raise UnknownIndex(f"paths_through expects kind node or edge, got {kind!r}")
-        if not 0 <= index < rows:
-            raise UnknownIndex(f"{kind} index {index} out of range [0, {rows})")
-        m = self.aggregation.node_edge
-        row = offset + index
+        # The node rows and then the edge rows of M: the stacked layout.
+        m, row = self.aggregation.node_edge, self.index_map.global_index(kind, index)
         return tuple(m.indices[m.indptr[row] : m.indptr[row + 1]].tolist())
 
     def find_path(self, path: tuple[int, ...]) -> int | None:
@@ -362,8 +356,8 @@ class Network:
     def find_edge(self, tail: str, head: str) -> int | None:
         """Index of the edge from node ``tail`` to node ``head``, or None.
 
-        One vectorised pass over the edge end table, so an edited network
-        answers without building :attr:`edge_index`.
+        One vectorised pass over the edge end table, so no network builds
+        :attr:`edge_index` to answer.
         """
         if tail not in self.node_index or head not in self.node_index:
             return None
@@ -390,6 +384,15 @@ class Network:
             f"Network(nodes={len(self.nodes)}, edges={len(self.edges)}, "
             f"paths={self.index_map.n_paths})"
         )
+
+
+def _integer(value, error: type[ValidationError], what: str) -> int:
+    """``value`` read as an integer reference (``operator.index``: an int or
+    a numpy integer, never a truncated float), or ``error`` naming ``what``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 def _columns(seqs) -> tuple[np.ndarray, np.ndarray]:
@@ -468,23 +471,23 @@ class FlowAggregationMatrix:
     S = [M; I] stacks the node/edge block M over an identity on the paths.
     Every product with S that the solvers take goes through :meth:`lift`
     (S b), :meth:`restrict` (S^T u) and :meth:`normal` (S^T diag(c) S v).
-    Each calls scipy's compiled CSR kernel, the routine that ``@`` itself
-    ends in, on M or on the cached M^T, and applies the identity block
-    exactly, so a result carries the same bits as the ``@`` expression on
-    ``matrix`` and its transpose.
+    Each reads M's own arrays with scipy's compiled kernels
+    (:func:`_accumulate`), the CSR kernel for M and the CSC kernel for M^T,
+    so S^T is never stored, and applies the identity block exactly: a
+    result carries the same bits as the ``@`` expression on ``matrix`` and
+    its CSR transpose.
 
-    The operator holds M as given and does no array work of its own: a
-    network builds M from its path tables (:func:`_node_edge`), fresh or
-    edited alike.  A network owns its operator: :meth:`from_network`
-    returns the network's :attr:`Network.aggregation`, so every caller
-    shares one object.  Treat it as read-only; write into no matrix it
-    holds.
+    The operator holds M as given, and nothing else, and does no array
+    work of its own: a network builds M from its path tables
+    (:func:`_node_edge`), fresh or edited alike.  A network owns its
+    operator: :meth:`from_network` returns the network's
+    :attr:`Network.aggregation`, so every caller shares one object.  Treat
+    it as read-only; write into no matrix it holds.
 
     Attributes:
         node_edge: CSR matrix M, shape (n_nodes + n_edges, n_paths).
             M[v, j] is 1 when path j passes through node v, and
             M[n_nodes + e, j] is 1 when path j uses edge e.
-        node_edge_t: CSR copy of M^T, built on first use and kept.
         matrix: CSR stack [M; I], shape (n, n_paths), built on first read
             and kept.  Full column rank by construction thanks to the
             identity block.  No solve, check or edit reads it.
@@ -499,13 +502,6 @@ class FlowAggregationMatrix:
     def from_network(cls, net: Network) -> "FlowAggregationMatrix":
         """The network's own operator, :attr:`Network.aggregation`."""
         return net.aggregation
-
-    @cached_property
-    def node_edge_t(self) -> sp.csr_matrix:
-        # Lazy: callers that only lift or check never pay for the copy.
-        # Row j lists path j's nodes and edges in increasing row order, as
-        # row j of matrix.T.tocsr() does before its identity entry.
-        return self.node_edge.T.tocsr()
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
@@ -536,10 +532,10 @@ class FlowAggregationMatrix:
     def restrict(self, u: np.ndarray) -> np.ndarray:
         """S^T u = M^T u_NE + u_P for u of shape (n,) or (n, h)."""
         u = np.ascontiguousarray(u, dtype=float)
-        mt = self.node_edge_t
-        n_paths, k = mt.shape
+        m = self.node_edge
+        k, n_paths = m.shape
         out = np.zeros((n_paths,) + u.shape[1:])
-        _accumulate(mt, u[:k], out)
+        _accumulate(m, u[:k], out, transpose=True)
         out += u[k:]
         return out
 
@@ -559,32 +555,36 @@ class FlowAggregationMatrix:
             c = c if v.ndim == 1 else c[:, None]
             t *= c[:k]
         out = np.zeros(v.shape)
-        _accumulate(self.node_edge_t, t, out)
+        _accumulate(m, t, out, transpose=True)
         out += v if c is None else c[k:] * v
         return out
 
     def aggregate(self, path_values: np.ndarray) -> np.ndarray:
         """Lift a vector of path values to the full coherent stack."""
         b = np.asarray(path_values, dtype=float)
-        if b.shape != (self.index_map.n_paths,):
-            raise DimensionMismatch(
-                f"expected {self.index_map.n_paths} path values, got shape {b.shape}"
-            )
+        if b.shape != (self.n_paths,):
+            raise DimensionMismatch(f"expected {self.n_paths} path values, got shape {b.shape}")
         return self.lift(b)
 
 
-def _accumulate(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> None:
-    """out += a @ x by scipy's compiled CSR kernel (``csr_matvec`` for a
-    vector, ``csr_matvecs`` for a block), the routine ``a @ x`` ends in,
-    without the dispatch around it.
+def _accumulate(m: sp.csr_matrix, x: np.ndarray, out: np.ndarray, transpose=False) -> None:
+    """out += m @ x, or m.T @ x when ``transpose``, by scipy's compiled
+    kernels on m's own arrays, without the dispatch around them: the CSR
+    kernel (``csr_matvec``, or ``csr_matvecs`` for a block) that ``@`` ends
+    in, or the CSC kernel on the same arrays, which are the CSC arrays of
+    m.T.  That one adds m[i, j] * x[i] into out[j] in increasing i, the
+    order in which the CSR kernel sums row j of ``m.T.tocsr()``: same bits.
 
     ``x`` and ``out`` are C-contiguous float arrays; ``out`` is written in
     place, so it must be one (a view included), not a copy.
     """
-    rows, cols = a.shape
-    if x.ndim == 1:
-        _sparsetools.csr_matvec(rows, cols, a.indptr, a.indices, a.data, x, out)
+    rows, cols = m.shape
+    if transpose:
+        rows, cols = cols, rows
+        vec, vecs = _sparsetools.csc_matvec, _sparsetools.csc_matvecs
     else:
-        _sparsetools.csr_matvecs(
-            rows, cols, x.shape[1], a.indptr, a.indices, a.data, x.ravel(), out.ravel()
-        )
+        vec, vecs = _sparsetools.csr_matvec, _sparsetools.csr_matvecs
+    if x.ndim == 1:
+        vec(rows, cols, m.indptr, m.indices, m.data, x, out)
+    else:
+        vecs(rows, cols, x.shape[1], m.indptr, m.indices, m.data, x.ravel(), out.ravel())

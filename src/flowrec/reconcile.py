@@ -566,13 +566,8 @@ def _dispatch(yhat, agg, loss, box=None):
     directly, so that a traced call of one of them records one span."""
     t0 = time.perf_counter()
     n = agg.n
-    y = np.asarray(getattr(yhat, "data", yhat), dtype=float)
-    panel = y.ndim == 2 and y.shape[0] == n
-    if panel:
-        if not np.all(np.isfinite(y)):
-            raise BadParameter("component block contains NaN or infinite entries")
-    else:
-        y = _as_component_vector(y, n)
+    y = _as_component_vector(yhat, n, panel=True)
+    panel = y.ndim == 2
     if loss.kind == "custom":
         slope0 = float(np.asarray(loss.f_prime(np.zeros(1)))[0])
         if abs(slope0) > 1e-12:

@@ -15,12 +15,16 @@ from .errors import BadParameter, DimensionMismatch
 from .network import FlowAggregationMatrix, IndexMap
 
 
-def _as_component_vector(values, n: int) -> np.ndarray:
+def _as_component_vector(values, n: int, panel: bool = False) -> np.ndarray:
+    """``values`` (a ForecastVector or an array) as a finite length-n float
+    vector, or with ``panel`` also as a finite (n, H) panel."""
     data = np.asarray(getattr(values, "data", values), dtype=float)
-    if data.shape != (n,):
+    block = panel and data.ndim == 2 and data.shape[0] == n
+    if not block and data.shape != (n,):
         raise DimensionMismatch(f"expected a vector of {n} components, got shape {data.shape}")
     if not np.all(np.isfinite(data)):
-        raise BadParameter("component vector contains NaN or infinite entries")
+        kind = "block" if block else "vector"
+        raise BadParameter(f"component {kind} contains NaN or infinite entries")
     return data
 
 
@@ -101,12 +105,8 @@ def check_coherence(
         tolerance: absolute residual bound; None picks the scaled default.
     """
     imap = agg.index_map
-    y = np.asarray(getattr(values, "data", values), dtype=float)
-    block = y.ndim == 2 and y.shape[0] == imap.n
-    if not block:
-        y = _as_component_vector(y, imap.n)
-    elif not np.all(np.isfinite(y)):
-        raise BadParameter("component block contains NaN or infinite entries")
+    y = _as_component_vector(values, imap.n, panel=True)
+    block = y.ndim == 2
     # The same code serves a vector and a block; residuals are laid out one
     # row per column for the reports.
     h = y.shape[1] if block else 1

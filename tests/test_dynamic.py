@@ -21,6 +21,7 @@ from flowrec import (
     NoAffectedPaths,
     UnknownComponent,
     UnknownEdge,
+    UnknownIndex,
     UpdateLedger,
     UpdateRecord,
     UpdateVerdict,
@@ -539,7 +540,7 @@ def assert_equals_rebuild(net, edges, paths):
     assert net.path_nodes == fresh.path_nodes
     assert net.node_index == fresh.node_index
     assert net.edge_index == fresh.edge_index
-    for name in ("matrix", "node_edge", "node_edge_t"):
+    for name in ("matrix", "node_edge"):
         got, want = getattr(agg, name), getattr(ref, name)
         assert got.format == want.format == "csr"
         assert got.shape == want.shape
@@ -676,8 +677,10 @@ class TestEditEqualsRebuild:
 
     def test_solves_checks_and_edits_leave_the_stack_unbuilt(self):
         # Only tests and tools read ``matrix``; everything else goes through
-        # the node/edge block.  An edited network's operator waits for its
-        # first use, as a fresh network's does.
+        # the node/edge block, and S^T products read its arrays, so an
+        # operator stores M and its layout and nothing else.  An edited
+        # network's operator waits for its first use, as a fresh one's does.
+        stored = {"node_edge", "index_map"}
         inst = random_instance(nodes=20, seed=905)
         net, agg, y = inst.network, inst.agg, inst.y_base.data
         w = np.linspace(0.5, 2.0, agg.n)
@@ -691,9 +694,10 @@ class TestEditEqualsRebuild:
             (y, LossSpec("relaxed", epsilon=0.01)),
         ):
             reconcile_general(yhat, agg, loss)
-            assert "matrix" not in vars(agg), (loss.kind, yhat.ndim)
+            assert set(vars(agg)) <= stored, (loss.kind, yhat.ndim)
         check_coherence(y, agg)
-        assert "matrix" not in vars(agg)
+        check_coherence(panel, agg)
+        assert set(vars(agg)) <= stored
 
         rng = np.random.default_rng(905)
         y = agg.aggregate(inst.y_true.data[agg.index_map.path_slice])
@@ -702,7 +706,7 @@ class TestEditEqualsRebuild:
                 continue
             edited = net._edit(remove=e)
             assert "aggregation" not in vars(edited)
-            assert "matrix" not in vars(edited.aggregation)
+            assert set(vars(edited.aggregation)) <= stored
             try:
                 _, net1, y1 = remove_edge(net, y, e)
             except Disconnected:
@@ -711,10 +715,46 @@ class TestEditEqualsRebuild:
         edge, routes = shortcut(net1, rng)
         added = add_edge_update(net1, y1.data, edge, 10.0, routes)
         for n in (net, net1, added.network):
-            assert "matrix" not in vars(n.aggregation)
+            assert set(vars(n.aggregation)) <= stored
 
     def test_edit_refuses_a_repeated_path(self, parallel_net):
         with pytest.raises(DuplicateId, match="^new path 0 repeats a path of the network$"):
             parallel_net._edit(add=("a", "b"), new_paths=((0, 1),))
         with pytest.raises(DuplicateId, match="^new path 1 repeats a path of the network$"):
             parallel_net._edit(add=("a", "b"), new_paths=((0, 4, 3), (0, 4, 3)))
+
+
+class TestIntegerReferences:
+    """An integer reference is read as an integer: a numpy integer is one, a
+    float or a string is refused with the package's own error, never
+    truncated.  A 2-tuple edge is (tail, head) node names."""
+
+    def test_non_integers_are_refused(self):
+        net = Network(["0", "1", "2"], [("0", "1"), ("1", "2"), ("0", "2")], [(0, 1), (2,)])
+        imap = net.index_map
+        y = net.aggregation.aggregate(np.array([1.0, 2.0]))
+        ledger = UpdateLedger(y, y, index_map=imap)
+
+        assert imap.global_index("edge", np.int64(1)) == 4
+        for local in (1.5, 1.0, "1", None):
+            with pytest.raises(UnknownIndex):
+                imap.global_index("edge", local)
+        assert net.paths_through("edge", np.int64(2)) == (1,)
+        for index in (1.5, 2.0, "2"):
+            with pytest.raises(UnknownIndex):
+                net.paths_through("edge", index)
+        assert check_data_update(ledger, np.int64(2), y[2]) is UpdateVerdict.STILL_OPTIMAL
+        for component in (2.7, 2.0, "2", ("edge",), ("edge", 1, 2)):
+            with pytest.raises(UnknownComponent):
+                check_data_update(ledger, component, 1.0)
+        with pytest.raises(UnknownIndex):
+            check_data_update(ledger, ("edge", 1.5), 1.0)
+        for edge in ("0->2", 2.0, 1.5, (0, 1, 2)):
+            with pytest.raises(UnknownEdge):
+                remove_edge(net, y, edge)
+        with pytest.raises(UnknownEdge, match="edge \\('0', '5'\\) does not exist"):
+            remove_edge(net, y, (0, 5))
+        plan, updated, _ = remove_edge(net, y, (0, 2))
+        assert plan.removed_edge == 2 and updated.edges == (("0", "1"), ("1", "2"))
+        for error in (UnknownIndex, UnknownComponent, UnknownEdge):
+            assert issubclass(error, ValidationError)

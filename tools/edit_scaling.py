@@ -18,7 +18,10 @@ median.  So the affected work is the same at every size and what grows is
 everything else.  After the edits, the process times ``ROUNDS * SLOTS``
 rebuilds of the base network's operator (the cached ``aggregation`` is
 dropped and read again) and reports their median as ``build_us``: the
-build a fresh network pays, next to the edits that build their own.
+build a fresh network pays, next to the edits that build their own.  Then
+it times as many first uses, each the rebuild plus one ``restrict`` (S^T u),
+and reports their median as ``first_use_us``: the build and the first S^T
+product, including whatever that product sets up for the operator.
 Each checkout runs in a fresh process with flowrec imported from its
 ``src`` and every BLAS pool pinned to one thread; the two checkouts take
 ``REPEATS`` turns each, alternating which goes first, so that a change in
@@ -116,11 +119,19 @@ def measure(paths: int) -> dict:
         t0 = time.perf_counter()
         net.aggregation
         build_s.append(time.perf_counter() - t0)
+    u = rng.uniform(5.0, 15.0, net.index_map.n)
+    first_use_s = []
+    for _ in range(ROUNDS * SLOTS):
+        vars(net).pop("aggregation")
+        t0 = time.perf_counter()
+        net.aggregation.restrict(u)
+        first_use_s.append(time.perf_counter() - t0)
     return {"paths": paths, "nodes": len(nodes), "edges": len(edges),
             "nnz": int(net.aggregation.matrix.nnz),
             "remove_us": 1e6 * statistics.median(remove_s),
             "add_us": 1e6 * statistics.median(add_s),
-            "build_us": 1e6 * statistics.median(build_s)}
+            "build_us": 1e6 * statistics.median(build_s),
+            "first_use_us": 1e6 * statistics.median(first_use_s)}
 
 
 def run_child(root: str, paths: int) -> dict:
@@ -154,7 +165,7 @@ def main() -> int:
         row = {key: first[key] for key in ("paths", "nodes", "edges", "nnz")}
         for side, done in runs.items():
             row[side] = {}
-            for key in ("remove_us", "add_us", "build_us"):
+            for key in ("remove_us", "add_us", "build_us", "first_use_us"):
                 values = [run[key] for run in done]
                 row[side][key] = values
                 row[side]["median_" + key] = statistics.median(values)
@@ -163,7 +174,8 @@ def main() -> int:
         print(f"{paths} paths: remove {p['median_remove_us']:.0f} -> "
               f"{c['median_remove_us']:.0f} us, add {p['median_add_us']:.0f} -> "
               f"{c['median_add_us']:.0f} us, build {p['median_build_us']:.0f} -> "
-              f"{c['median_build_us']:.0f} us")
+              f"{c['median_build_us']:.0f} us, first use {p['median_first_use_us']:.0f} -> "
+              f"{c['median_first_use_us']:.0f} us")
     if args.out:
         bench = {}
         if os.path.exists(args.out):
@@ -175,7 +187,8 @@ def main() -> int:
                 f"side, each a fresh process (one thread) timing {ROUNDS} rounds over {SLOTS} "
                 f"slots: remove_edge of an edge with {AFFECTED} affected paths, then "
                 f"add_edge_update of a shortcut with {SHORTCUT} new paths, then "
-                f"{ROUNDS * SLOTS} rebuilds of the base network's operator; medians in us"),
+                f"{ROUNDS * SLOTS} rebuilds of the base network's operator, then as many "
+                f"rebuilds each followed by one restrict (first_use_us); medians in us"),
             "rows": rows,
         }
         with open(args.out, "w") as fh:
