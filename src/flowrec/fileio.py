@@ -146,7 +146,7 @@ def component_ids(net: Network) -> list[str]:
     """Ids for every component in canonical [nodes; edges; paths] order."""
     ids = list(net.nodes)
     ids.extend(_edge_ids(net))
-    ids.extend(f"P{i}" for i in range(len(net.paths)))
+    ids.extend(f"P{i}" for i in range(net.index_map.n_paths))
     return ids
 
 
@@ -166,7 +166,7 @@ def component_index(net: Network, kind: str, ident: str) -> int:
 
 def _component_keys(net: Network) -> list[tuple[str, str]]:
     """(kind, id) for every component in canonical order."""
-    kinds = ["node"] * len(net.nodes) + ["edge"] * len(net.edges) + ["path"] * len(net.paths)
+    kinds = ["node"] * len(net.nodes) + ["edge"] * len(net.edges) + ["path"] * net.index_map.n_paths
     return list(zip(kinds, component_ids(net)))
 
 

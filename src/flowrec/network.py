@@ -79,14 +79,19 @@ class IndexMap:
             UnknownIndex: if ``kind`` is not node/edge/path, or ``local`` is
                 not an integer or out of range for that block.
         """
-        counts = {"node": self.n_nodes, "edge": self.n_edges, "path": self.n_paths}
-        if kind not in counts:
+        # Compared, not hashed, so that an unhashable kind is refused too.
+        if kind == "node":
+            offset, count = 0, self.n_nodes
+        elif kind == "edge":
+            offset, count = self.n_nodes, self.n_edges
+        elif kind == "path":
+            offset, count = self.n_nodes + self.n_edges, self.n_paths
+        else:
             raise UnknownIndex(f"unknown component kind {kind!r}")
         local = _integer(local, UnknownIndex, f"{kind} index")
-        if not 0 <= local < counts[kind]:
-            raise UnknownIndex(f"{kind} index {local} out of range [0, {counts[kind]})")
-        offset = {"node": 0, "edge": self.n_nodes, "path": self.n_nodes + self.n_edges}
-        return offset[kind] + local
+        if not 0 <= local < count:
+            raise UnknownIndex(f"{kind} index {local} out of range [0, {count})")
+        return offset + local
 
     def component(self, global_index: int) -> tuple[str, int]:
         """Inverse of :meth:`global_index`."""

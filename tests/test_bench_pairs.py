@@ -6,11 +6,13 @@ built here, so no benchmark process is started.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+SCRIPT = TOOLS / "bench_pairs.py"
 
 SPEC = {
     "end_to_end": [
@@ -22,6 +24,9 @@ SPEC = {
 
 @pytest.fixture(scope="module")
 def bench_pairs():
+    # The script imports ``pairs`` from its own directory.
+    if str(TOOLS) not in sys.path:
+        sys.path.insert(0, str(TOOLS))
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -749,6 +749,11 @@ class TestIntegerReferences:
                 check_data_update(ledger, component, 1.0)
         with pytest.raises(UnknownIndex):
             check_data_update(ledger, ("edge", 1.5), 1.0)
+        # An unhashable kind is an unknown kind, not a TypeError.
+        with pytest.raises(UnknownIndex):
+            imap.global_index(["edge"], 0)
+        with pytest.raises(UnknownIndex):
+            check_data_update(ledger, (["edge"], 1), 1.0)
         for edge in ("0->2", 2.0, 1.5, (0, 1, 2)):
             with pytest.raises(UnknownEdge):
                 remove_edge(net, y, edge)

@@ -697,6 +697,15 @@ class TestMinimizeSmoothConvex:
         with pytest.raises(NoConvergence):
             minimize_smooth_convex(fun, hessian, np.zeros(1), tol=1e-12, max_iter=3)
 
+    def test_failed_line_search_near_the_target_raises(self):
+        # A constant objective with a gradient at twice its target: no step
+        # decreases f or the gradient norm, so the line search fails, and an
+        # answer that misses its target is not returned.
+        with pytest.raises(NoConvergence, match="line search failed"):
+            minimize_smooth_convex(
+                lambda x: (0.0, np.array([2e-8])), lambda x: (lambda v: v), np.zeros(1), tol=1e-8
+            )
+
     def test_quadratic_converges_in_few_steps(self):
         a = sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
         c = np.array([1.0, -2.0])

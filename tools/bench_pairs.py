@@ -8,8 +8,8 @@ Usage, from anywhere:
 PARENT_DIR and CHANGE_DIR are two flowrec checkouts, each with its own
 ``perfbench/`` and ``BENCHMARK.json``.  For every workload, pair k runs
 ``python3 perfbench/run.py --workload NAME --seed N+k --seconds S --trace 0``
-in both checkouts, the parent first in even pairs and the change first in
-odd ones; S is ``run_seconds`` from the parent's ``BENCHMARK.json``.  The
+in both checkouts, alternating which goes first as ``tools/pairs.py`` does;
+S is ``run_seconds`` from the parent's ``BENCHMARK.json``.  The
 script writes ``BENCH_<label>.json`` in the current directory with every
 run, each side's quartiles per end-to-end metric, the pairs each side won,
 the gain verdict and each metric's median change against its
@@ -37,19 +37,7 @@ import statistics
 import subprocess
 import sys
 
-SIDES = ("parent", "change")
-
-
-def revision(root: str) -> str | None:
-    """The checkout's commit, marked ``+dirty`` when its tree has changes."""
-    try:
-        head = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=root,
-                              capture_output=True, text=True, check=True).stdout.strip()
-        dirty = subprocess.run(["git", "status", "--porcelain"], cwd=root,
-                               capture_output=True, text=True, check=True).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return head + ("+dirty" if dirty else "")
+from pairs import SIDES, alternate, checkouts, revision, write
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -137,25 +125,24 @@ def main() -> int:
     if args.pairs < 2:
         ap.error(f"--pairs must be at least 2 to give quartiles, got {args.pairs}")
 
-    roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    roots = checkouts(args)
     with open(os.path.join(roots["parent"], "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     seconds = spec["run_seconds"]
-    runs, summary, host = [], {}, None
+    runs, summary = [], {}
     for workload in args.workload:
         mine = []
-        for k in range(args.pairs):
-            seed = args.first_seed + k
-            order = SIDES if k % 2 == 0 else SIDES[::-1]
-            for side in order:
-                run = run_once(roots[side], workload, seed, seconds)
-                host = run.pop("host")
-                run.update(side=side, first=order[0])
-                mine.append(run)
-                print(f"{workload} seed {seed} {side}: op_s_p50 {run['metrics']['op_s_p50']:.4f} s",
-                      file=sys.stderr, flush=True)
+
+        def pair_run(side: str, k: int) -> None:
+            run = run_once(roots[side], workload, args.first_seed + k, seconds)
+            mine.append(dict(run, side=side, first=SIDES[k % 2]))
+            print(f"{workload} seed {run['seed']} {side}: op_s_p50 "
+                  f"{run['metrics']['op_s_p50']:.4f} s", file=sys.stderr, flush=True)
+
+        alternate(args.pairs, pair_run)
         runs += mine
         summary[workload] = summarise(mine, spec)
+    host = [run.pop("host") for run in runs][-1]
     seeds = f"{args.first_seed}-{args.first_seed + args.pairs - 1}"
     revisions = {side: revision(roots[side]) for side in SIDES}
     bench = {
@@ -169,9 +156,7 @@ def main() -> int:
         "summary": summary,
     }
     out = f"BENCH_{args.label}.json"
-    with open(out, "w") as fh:
-        json.dump(bench, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write(out, bench)
     for workload, s in summary.items():
         for name, m in s["metrics"].items():
             print(f"{workload} {name}: parent {m['parent_q1_median_q3'][1]:.4g} change "

@@ -22,32 +22,27 @@ build a fresh network pays, next to the edits that build their own.  Then
 it times as many first uses, each the rebuild plus one ``restrict`` (S^T u),
 and reports their median as ``first_use_us``: the build and the first S^T
 product, including whatever that product sets up for the operator.
-Each checkout runs in a fresh process with flowrec imported from its
-``src`` and every BLAS pool pinned to one thread; the two checkouts take
-``REPEATS`` turns each, alternating which goes first, so that a change in
-the machine's speed meets both sides.  Reported per size and side: every
-turn's medians and the median over turns, in microseconds.  With
-``--out``, the table is stored under ``"edit_scaling"`` in FILE, which is
-created or updated in place.
+The checkouts take ``REPEATS`` turns each under the protocol of
+``tools/pairs.py``.  Reported per size and side: every turn's medians and
+the median over turns, in microseconds.  With ``--out``, the table is
+stored under ``"edit_scaling"`` in FILE.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import statistics
-import subprocess
 import sys
 
-PINNED = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-          "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+import pairs
+
 PATHS = (300, 1200, 4800)
 SLOTS = 7
 AFFECTED = 3
 SHORTCUT = 3
 ROUNDS = 40
 REPEATS = 3
+EDITS = ("remove_us", "add_us", "build_us", "first_use_us")
 
 
 def shortcut(net, rng):
@@ -134,66 +129,29 @@ def measure(paths: int) -> dict:
             "first_use_us": 1e6 * statistics.median(first_use_s)}
 
 
-def run_child(root: str, paths: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED="0")
-    env.update({name: "1" for name in PINNED})
-    cmd = [sys.executable, os.path.abspath(__file__), "--child", str(paths)]
-    done = subprocess.run(cmd, env=env, capture_output=True, text=True, check=False)
-    if done.returncode != 0:
-        raise RuntimeError(f"child for {root} at {paths} paths failed:\n{done.stderr[-2000:]}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
-
-
 def main() -> int:
-    if len(sys.argv) == 3 and sys.argv[1] == "--child":
-        print(json.dumps(measure(int(sys.argv[2]))))
+    if pairs.child(measure):
         return 0
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("parent", help="parent checkout directory")
-    ap.add_argument("change", help="change checkout directory")
-    ap.add_argument("--out", default=None, help="JSON file to store the table in")
-    args = ap.parse_args()
-
-    roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    args = pairs.parser(__doc__).parse_args()
+    roots = pairs.checkouts(args)
     rows = []
     for paths in PATHS:
-        runs = {side: [] for side in roots}
-        for k in range(REPEATS):
-            for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                runs[side].append(run_child(roots[side], paths))
+        runs = pairs.turns(__file__, roots, REPEATS, paths)
         first = runs["parent"][0]
         row = {key: first[key] for key in ("paths", "nodes", "edges", "nnz")}
-        for side, done in runs.items():
-            row[side] = {}
-            for key in ("remove_us", "add_us", "build_us", "first_use_us"):
-                values = [run[key] for run in done]
-                row[side][key] = values
-                row[side]["median_" + key] = statistics.median(values)
+        row.update({side: pairs.medians(done, EDITS) for side, done in runs.items()})
         rows.append(row)
-        p, c = row["parent"], row["change"]
-        print(f"{paths} paths: remove {p['median_remove_us']:.0f} -> "
-              f"{c['median_remove_us']:.0f} us, add {p['median_add_us']:.0f} -> "
-              f"{c['median_add_us']:.0f} us, build {p['median_build_us']:.0f} -> "
-              f"{c['median_build_us']:.0f} us, first use {p['median_first_use_us']:.0f} -> "
-              f"{c['median_first_use_us']:.0f} us")
+        print(f"{paths} paths: " + ", ".join(
+            f"{key[:-3].replace('_', ' ')} {row['parent']['median_' + key]:.0f} -> "
+            f"{row['change']['median_' + key]:.0f} us" for key in EDITS))
     if args.out:
-        bench = {}
-        if os.path.exists(args.out):
-            with open(args.out) as fh:
-                bench = json.load(fh)
-        bench["edit_scaling"] = {
-            "description": (
-                f"tools/edit_scaling.py: per layered network size, {REPEATS} alternating turns per "
-                f"side, each a fresh process (one thread) timing {ROUNDS} rounds over {SLOTS} "
-                f"slots: remove_edge of an edge with {AFFECTED} affected paths, then "
-                f"add_edge_update of a shortcut with {SHORTCUT} new paths, then "
-                f"{ROUNDS * SLOTS} rebuilds of the base network's operator, then as many "
-                f"rebuilds each followed by one restrict (first_use_us); medians in us"),
-            "rows": rows,
-        }
-        with open(args.out, "w") as fh:
-            json.dump(bench, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        pairs.store(args.out, "edit_scaling", roots, (
+            f"tools/edit_scaling.py: per layered network size, {REPEATS} alternating turns per "
+            f"side, each a fresh process (one thread) timing {ROUNDS} rounds over {SLOTS} "
+            f"slots: remove_edge of an edge with {AFFECTED} affected paths, then "
+            f"add_edge_update of a shortcut with {SHORTCUT} new paths, then "
+            f"{ROUNDS * SLOTS} rebuilds of the base network's operator, then as many "
+            f"rebuilds each followed by one restrict (first_use_us); medians in us"), rows)
     return 0
 
 

@@ -20,35 +20,27 @@ density 0.2 for 30 nodes and at about 3N edges
 * ``l2_nonneg``: l2 under the path box b >= 0;
 * ``l1``: the linear program.
 
-The default cases are the first four.  Each solve runs in a fresh process
-with flowrec imported from one checkout's ``src`` and every BLAS pool
-pinned to one thread, which times one solve after an untimed solve of the
-same case on the 30-node instance.  The two checkouts take ``--repeats``
-turns each (default 5) per case, alternating which goes first, so that a
-change in the machine's speed meets both sides.  Reported per side: every
-time, their median and minimum, the solver steps (Newton steps, or simplex
-iterations for l1), the conjugate-gradient iterations of every solve the
-call made, the objective and the certificate against its target: the
-gradient norm (under a box the projected-gradient norm) against
-1e-8 (1 + objective), 1e-10 (1 + objective) for the relaxed loss, and the
-duality gap against 1e-7 for l1.  A solve that raises is recorded with its
-error in place of the numbers.  Per case the objectives' relative
-difference is reported.  The table is stored under ``KEY`` (default
-``"smooth_kernels"``) in FILE (default ``BENCH_smooth_newton.json``),
-which is created or updated in place.
+The default cases are the first four.  A process times one solve after
+an untimed solve of the same case on the 30-node instance.  The checkouts
+take ``--repeats`` turns each (default 5) per case under the protocol of
+``tools/pairs.py``.  Reported per side: every time, their median and
+minimum, the solver steps (Newton steps, or simplex iterations for l1),
+the conjugate-gradient iterations of every solve the call made, the
+objective and the certificate against its target: the gradient norm
+(under a box the projected-gradient norm) against 1e-8 (1 + objective),
+1e-10 (1 + objective) for the relaxed loss, and the duality gap against
+1e-7 for l1.  A solve that raises is recorded with its error in place of
+the numbers.  Per case the objectives' relative difference is reported.
+The table is stored under ``KEY`` (default ``"smooth_kernels"``) in FILE
+(default ``BENCH_smooth_newton.json``).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import statistics
-import subprocess
 import sys
 
-PINNED = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-          "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+import pairs
+
 NODES = (30, 100, 300)
 CASES = ("boxed_l2", "boxed_huber", "boxed_quartic", "quartic")
 ALL_CASES = CASES + ("huber", "huber_0.1", "relaxed", "l2_nonneg", "l1")
@@ -62,17 +54,6 @@ TOL = 1e-8
 RELAXED_TOL = 1e-10
 GAP_TOL = 1e-7
 REPEATS = 5
-
-
-def instance(nodes: int, seed: int):
-    from flowrec.benchmark import GeneratorConfig, density_for_edge_target, generate_instance
-
-    if nodes == 30:
-        cfg = GeneratorConfig(nodes=nodes, density=0.2, seed=seed)
-    else:
-        base = GeneratorConfig(nodes=nodes, seed=seed)
-        cfg = GeneratorConfig(nodes=nodes, seed=seed, density=density_for_edge_target(base, 3 * nodes))
-    return generate_instance(cfg, 0)
 
 
 def problem(agg, case: str):
@@ -105,9 +86,9 @@ def measure(nodes: int, case: str, seed: int) -> dict:
     import flowrec.reconcile as reconcile
     from flowrec.errors import SolverError
 
-    small = instance(30, seed)
+    small = pairs.instance(30, seed, 0.2)
     reconcile.reconcile_general(small.y_base, small.agg, *problem(small.agg, case))
-    inst = instance(nodes, seed)
+    inst = pairs.instance(nodes, seed, 0.2 if nodes == 30 else None)
     agg = inst.agg
     loss, box = problem(agg, case)
     cg = [0]
@@ -138,23 +119,11 @@ def measure(nodes: int, case: str, seed: int) -> dict:
                 objective=res.loss_value, certificate=certificate, target=target)
 
 
-def run_child(root: str, nodes: int, case: str, seed: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED="0")
-    env.update({name: "1" for name in PINNED})
-    cmd = [sys.executable, os.path.abspath(__file__), "--child", str(nodes), case, str(seed)]
-    done = subprocess.run(cmd, env=env, capture_output=True, text=True, check=False)
-    if done.returncode != 0:
-        raise RuntimeError(f"child for {root} at {nodes} nodes, {case}, failed:\n"
-                           f"{done.stderr[-2000:]}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
-
-
 def summarise(done: list[dict]) -> dict:
     """One side's runs of one case: times, and the numbers of its last run."""
-    times = [run["ms"] for run in done]
     last = done[-1]
-    side = {"ms": times, "median_ms": statistics.median(times), "min_ms": min(times),
-            "cg_iterations": last["cg_iterations"]}
+    side = dict(pairs.medians(done, ["ms"]), min_ms=min(run["ms"] for run in done),
+                cg_iterations=last["cg_iterations"])
     errors = [run["error"] for run in done if "error" in run]
     if errors:
         return dict(side, error=errors[-1], failed=len(errors))
@@ -164,14 +133,9 @@ def summarise(done: list[dict]) -> dict:
 
 
 def main() -> int:
-    if len(sys.argv) == 5 and sys.argv[1] == "--child":
-        print(json.dumps(measure(int(sys.argv[2]), sys.argv[3], int(sys.argv[4]))))
+    if pairs.child(measure):
         return 0
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("parent", help="parent checkout directory")
-    ap.add_argument("change", help="change checkout directory")
-    ap.add_argument("--out", default="BENCH_smooth_newton.json",
-                    help="JSON file to store the table in")
+    ap = pairs.parser(__doc__, out="BENCH_smooth_newton.json")
     ap.add_argument("--cases", default=",".join(CASES),
                     help=f"comma-separated cases out of {','.join(ALL_CASES)}")
     ap.add_argument("--nodes", default=",".join(map(str, NODES)),
@@ -185,14 +149,11 @@ def main() -> int:
     if unknown:
         ap.error(f"unknown cases {unknown}; choose from {','.join(ALL_CASES)}")
 
-    roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    roots = pairs.checkouts(args)
     rows = []
     for nodes in map(int, args.nodes.split(",")):
         for case in cases:
-            runs = {side: [] for side in roots}
-            for k in range(args.repeats):
-                for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                    runs[side].append(run_child(roots[side], nodes, case, args.seed))
+            runs = pairs.turns(__file__, roots, args.repeats, nodes, case, args.seed)
             first = runs["parent"][0]
             row = {"nodes": nodes, "case": case, "paths": first["paths"], "edges": first["edges"]}
             row.update({side: summarise(done) for side, done in runs.items()})
@@ -205,22 +166,12 @@ def main() -> int:
                 f"{side['median_ms']:.1f} ms, {side.get('steps', 'failed')} steps, "
                 f"{side['cg_iterations']} CG" for side in (parent, change))
                 + f"; objective {row.get('objective_rel_diff', float('nan')):+.1e} rel")
-    bench = {}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            bench = json.load(fh)
-    bench[args.key] = {
-        "description": (
-            f"tools/smooth_kernels.py: {args.repeats} alternating turns per side of one timed "
-            f"reconcile_general call per case and size, seed {args.seed}, Newton tol {TOL} "
-            f"(relaxed {RELAXED_TOL}), path box {list(BOX)}, one thread, each in a fresh "
-            f"process; steps = solver iterations, cg_iterations = CG iterations of every "
-            f"solve in the call"),
-        "rows": rows,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(bench, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    pairs.store(args.out, args.key, roots, (
+        f"tools/smooth_kernels.py: {args.repeats} alternating turns per side of one timed "
+        f"reconcile_general call per case and size, seed {args.seed}, Newton tol {TOL} "
+        f"(relaxed {RELAXED_TOL}), path box {list(BOX)}, one thread, each in a fresh "
+        f"process; steps = solver iterations, cg_iterations = CG iterations of every "
+        f"solve in the call"), rows)
     return 0
 
 
